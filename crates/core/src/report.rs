@@ -86,7 +86,7 @@ pub struct RailRunRecord {
     /// Full Cholesky factorizations computed.
     pub factorizations: usize,
     /// Evaluations served from the incremental session without a full
-    /// factorization (reuse, numeric refactor, SMW correction).
+    /// factorization (verbatim reuse or numeric refactor).
     pub factor_updates: usize,
     /// Routing graphs tiled from scratch.
     pub tile_rebuilds: usize,

@@ -20,17 +20,17 @@
 use crate::backconv::{back_convert, RoutedShape};
 use crate::current::{injection_pairs, InjectionPair, PairPolicy};
 use crate::graph::{NodeId, RoutingGraph, Subgraph};
-use crate::grow::smart_grow_with;
+use crate::grow::smart_grow;
 use crate::recovery::{
     self, Degradation, RecoveryConfig, RecoveryPolicy, RouteDiagnostics, Stage, StageGuard,
 };
-use crate::refine::smart_refine_with;
-use crate::reheat::{reheat_with, ReheatConfig};
+use crate::refine::smart_refine;
+use crate::reheat::{reheat, ReheatConfig};
 use crate::seed::{seed_subgraph, SeedOptions};
-use crate::session::{Engine, SolverConfig};
+use crate::session::NodalSession;
 use crate::space::{SpaceSpec, TerminalShape};
-use crate::tile::{identify_terminals, space_to_graph, Terminal, TileOptions};
-use crate::tile_session::{TileConfig, TileMode, TileOutcome, TilingSession};
+use crate::tile::{identify_terminals, Terminal, TileOptions};
+use crate::tile_session::{TileConfig, TileOutcome, TilingSession};
 use crate::SproutError;
 use sprout_board::{Board, ElementRole, NetId};
 use sprout_geom::{Point, Polygon};
@@ -63,13 +63,9 @@ pub struct RouterConfig {
     /// Stage-failure policy, per-stage budgets, and (test-only) fault
     /// injection.
     pub recovery: RecoveryConfig,
-    /// Nodal-analysis backend: incremental session (delta factor
-    /// updates, warm starts) or from-scratch per evaluation. Both yield
-    /// bit-identical routes at the default settings.
-    pub solver: SolverConfig,
-    /// Tiling backend: persistent [`TilingSession`]s keyed by
-    /// `(net, layer, pitch)` with incremental re-clipping, or a
-    /// from-scratch build per call. Both yield bit-identical graphs.
+    /// Tiling parallelism. Graphs always come from persistent
+    /// [`TilingSession`]s keyed by `(net, layer, pitch)` with incremental
+    /// re-clipping.
     pub tile: TileConfig,
 }
 
@@ -85,7 +81,6 @@ impl Default for RouterConfig {
             pair_policy: PairPolicy::SourceToSinks,
             seed: SeedOptions { fill_voids: true },
             recovery: RecoveryConfig::default(),
-            solver: SolverConfig::default(),
             tile: TileConfig::default(),
         }
     }
@@ -114,8 +109,8 @@ pub struct StageTimings {
     /// symbolic + numeric factor of the grounded Laplacian).
     pub factorizations: usize,
     /// Metric evaluations served without a full factorization —
-    /// verbatim factor reuses, numeric-only refactorizations on a
-    /// cached elimination plan, and low-rank SMW corrections.
+    /// verbatim factor reuses and numeric-only refactorizations on a
+    /// cached elimination plan.
     pub factor_updates: usize,
     /// Routing graphs built from scratch (full lattice clip).
     pub tile_rebuilds: usize,
@@ -249,12 +244,12 @@ impl<'b> Router<'b> {
         total
     }
 
-    /// Builds the routing graph for `spec`, honouring the configured
-    /// [`TileMode`]: `Scratch` tiles from scratch every call; `Session`
-    /// checks a persistent [`TilingSession`] out of the shared cache,
-    /// diffs the spec against it (blocker prefix match → verbatim reuse
-    /// or incremental re-clip of the delta cells), and puts it back.
-    /// Both paths produce bit-identical graphs by construction.
+    /// Builds the routing graph for `spec`: checks a persistent
+    /// [`TilingSession`] out of the shared cache, diffs the spec against
+    /// it (blocker prefix match → verbatim reuse or incremental re-clip
+    /// of the delta cells), and puts it back. The graph is bit-identical
+    /// to the from-scratch [`crate::tile::space_to_graph`] by
+    /// construction.
     pub(crate) fn tiled_graph(
         &self,
         spec: &SpaceSpec,
@@ -262,36 +257,31 @@ impl<'b> Router<'b> {
         layer: usize,
         opts: TileOptions,
     ) -> Result<(RoutingGraph, TileOutcome), SproutError> {
-        match self.config.tile.mode {
-            TileMode::Scratch => Ok((space_to_graph(spec, opts)?, TileOutcome::Rebuilt)),
-            TileMode::Session => {
-                let key: TileKey = (
-                    net.0,
-                    layer,
-                    opts.dx.to_bits(),
-                    opts.dy.to_bits(),
-                    opts.min_cell_fraction.to_bits(),
-                );
-                let checked_out = {
-                    let mut cache = self.tile_cache.lock().unwrap_or_else(|e| e.into_inner());
-                    cache.remove(&key)
-                };
-                let (mut session, outcome) = match checked_out {
-                    Some(mut s) => {
-                        let outcome = s.update_to(spec);
-                        (s, outcome)
-                    }
-                    None => (
-                        TilingSession::new(spec, opts, self.config.tile.threads)?,
-                        TileOutcome::Rebuilt,
-                    ),
-                };
-                let graph = session.graph();
-                let mut cache = self.tile_cache.lock().unwrap_or_else(|e| e.into_inner());
-                cache.insert(key, session);
-                Ok((graph, outcome))
+        let key: TileKey = (
+            net.0,
+            layer,
+            opts.dx.to_bits(),
+            opts.dy.to_bits(),
+            opts.min_cell_fraction.to_bits(),
+        );
+        let checked_out = {
+            let mut cache = self.tile_cache.lock().unwrap_or_else(|e| e.into_inner());
+            cache.remove(&key)
+        };
+        let (mut session, outcome) = match checked_out {
+            Some(mut s) => {
+                let outcome = s.update_to(spec);
+                (s, outcome)
             }
-        }
+            None => (
+                TilingSession::new(spec, opts, self.config.tile.threads)?,
+                TileOutcome::Rebuilt,
+            ),
+        };
+        let graph = session.graph();
+        let mut cache = self.tile_cache.lock().unwrap_or_else(|e| e.into_inner());
+        cache.insert(key, session);
+        Ok((graph, outcome))
     }
 
     /// Routes one net on one layer under an area budget (mm²).
@@ -602,12 +592,11 @@ impl<'b> Router<'b> {
         let mut best_sub = sub.clone();
         let mut history: Vec<f64> = Vec::new();
 
-        // One nodal-analysis engine spans every optimization stage, so
-        // the incremental session's cached factor survives across
-        // grow/refine/reheat iterations (the tentpole of §II-H's
-        // bottleneck). `best_sub` restores are out-of-band mutations;
-        // the session detects and resyncs from them.
-        let mut engine = Engine::new(self.config.solver);
+        // One nodal session spans every optimization stage, so its
+        // cached factor survives across grow/refine/reheat iterations
+        // (§II-H's bottleneck). `best_sub` restores are out-of-band
+        // mutations; the session detects and resyncs from them.
+        let mut session = NodalSession::new();
 
         // Cooperative cancellation (supervisor jobs): checked between
         // pipeline stages so a cancelled rail stops within one stage.
@@ -639,7 +628,7 @@ impl<'b> Router<'b> {
             // Don't overshoot by more than one step: shrink the last batch.
             let remaining = ((area_budget_mm2 - sub.area_mm2()) / frame_cell_area).ceil() as usize;
             let step = grow_step.min(remaining.max(1));
-            match smart_grow_with(&mut engine, &graph, &mut sub, &pairs, step) {
+            match smart_grow(&mut session, &graph, &mut sub, &pairs, step) {
                 Ok(out) => {
                     history.push(out.resistance_sq);
                     timings.solves += out.solves;
@@ -680,7 +669,7 @@ impl<'b> Router<'b> {
         }
 
         // Objective after growth; feeds best-seen tracking.
-        match engine.eval(&graph, &sub, &pairs) {
+        match session.eval(&graph, &sub, &pairs) {
             Ok(nc) => {
                 timings.solves += nc.solves();
                 let r = nc.resistance_sq();
@@ -718,8 +707,8 @@ impl<'b> Router<'b> {
             let step = (base_step * (self.config.refine_iterations - i)
                 / self.config.refine_iterations)
                 .max(1);
-            match smart_refine_with(
-                &mut engine,
+            match smart_refine(
+                &mut session,
                 &graph,
                 &mut sub,
                 &pairs,
@@ -788,8 +777,8 @@ impl<'b> Router<'b> {
                 // shrinking back, so abandoning it mid-way must restore
                 // the pre-reheat subgraph rather than ship the overshoot.
                 let pre_reheat = sub.clone();
-                match reheat_with(
-                    &mut engine,
+                match reheat(
+                    &mut session,
                     &graph,
                     &mut sub,
                     &pairs,
@@ -835,8 +824,8 @@ impl<'b> Router<'b> {
                         diagnostics.record(d);
                         break;
                     }
-                    match smart_refine_with(
-                        &mut engine,
+                    match smart_refine(
+                        &mut session,
                         &graph,
                         &mut sub,
                         &pairs,
@@ -888,10 +877,9 @@ impl<'b> Router<'b> {
 
         // Factorization accounting from the nodal engine (§II-H: full
         // factors are the bottleneck the incremental session avoids).
-        let solver_stats = engine.stats();
+        let solver_stats = session.stats();
         timings.factorizations = solver_stats.full_factors;
-        timings.factor_updates =
-            solver_stats.factor_reuses + solver_stats.numeric_refactors + solver_stats.smw_evals;
+        timings.factor_updates = solver_stats.factor_reuses + solver_stats.numeric_refactors;
 
         // Ship the best subgraph seen, not necessarily the last. When no
         // evaluation ever succeeded the current subgraph (at minimum the

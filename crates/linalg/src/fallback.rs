@@ -52,7 +52,7 @@ pub struct FallbackOptions {
     /// Skip the direct rungs entirely and go straight to CG. Useful
     /// when factorization memory is prohibitive, and for exercising the
     /// iterative rung deterministically in tests.
-    pub force_iterative: bool,
+    pub iterative_only: bool,
 }
 
 impl Default for FallbackOptions {
@@ -62,7 +62,7 @@ impl Default for FallbackOptions {
             jitter_growth: 100.0,
             jitter_attempts: 3,
             cg: CgOptions::default(),
-            force_iterative: false,
+            iterative_only: false,
         }
     }
 }
@@ -204,7 +204,7 @@ pub fn build_grounded_solver(
     let mut factor_attempts = 0usize;
     let mut last_err = LinalgError::Empty;
 
-    if !opts.force_iterative {
+    if !opts.iterative_only {
         // Rung 1: plain Cholesky.
         factor_attempts += 1;
         match SparseCholesky::factor(a) {
@@ -261,7 +261,7 @@ pub fn build_grounded_solver(
     match solve_cg(a, &b_probe, opts.cg) {
         Ok(probe) => {
             telemetry::counter!("ladder.cg");
-            if !opts.force_iterative {
+            if !opts.iterative_only {
                 telemetry::point("ladder_fallback")
                     .field("rung", "ConjugateGradient")
                     .field("factor_attempts", factor_attempts)
@@ -281,7 +281,7 @@ pub fn build_grounded_solver(
         Err(e) => {
             // Every rung failed; prefer the direct-rung error when we
             // have one, since it names the structural problem.
-            if opts.force_iterative {
+            if opts.iterative_only {
                 Err(e)
             } else {
                 Err(last_err)
@@ -463,7 +463,7 @@ mod tests {
         let iter = build_grounded_solver(
             &a,
             FallbackOptions {
-                force_iterative: true,
+                iterative_only: true,
                 ..FallbackOptions::default()
             },
         )

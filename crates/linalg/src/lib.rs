@@ -16,8 +16,6 @@
 //! * [`cholesky`] — envelope (skyline) Cholesky factorization with
 //!   reverse Cuthill–McKee ordering ([`rcm`]); the right tool when one
 //!   Laplacian must be solved against many injection columns.
-//! * [`smw`] — Sherman–Morrison–Woodbury low-rank corrections over a
-//!   cached Cholesky factor, for the incremental nodal-analysis session.
 //! * [`dense`] — small dense LU / Cholesky for tests and tiny systems.
 //! * [`complex`] — a minimal `Complex` scalar (the offline crate set has
 //!   no `num-complex`).
@@ -44,7 +42,6 @@ pub mod fallback;
 pub mod laplacian;
 pub mod rcm;
 pub mod scalar;
-pub mod smw;
 pub mod solver_trace;
 pub mod sparse;
 

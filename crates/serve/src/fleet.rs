@@ -521,6 +521,37 @@ struct FleetJob {
 }
 
 impl FleetJob {
+    /// A freshly admitted (or journal-recovered) job waiting for a lease.
+    fn queued(
+        id: u64,
+        spec: JobSpec,
+        fp: u64,
+        deadline_ms: Option<f64>,
+        recovered: bool,
+    ) -> FleetJob {
+        FleetJob {
+            id,
+            rails_total: spec.rails.len(),
+            priority: spec.priority,
+            spec,
+            fp,
+            state: JobState::Queued,
+            attempts: 0,
+            submitted: Instant::now(),
+            deadline_ms,
+            queue_ms: 0.0,
+            run_ms: 0.0,
+            rails_complete: 0,
+            resumed: 0,
+            recovered,
+            lease: None,
+            solves: 0,
+            area_mm2: 0.0,
+            error: None,
+            terminal_transitions: 0,
+        }
+    }
+
     fn snapshot(&self) -> JobSnapshot {
         JobSnapshot {
             id: self.id,
@@ -584,6 +615,28 @@ struct Shared {
     bus: Arc<EventBus>,
 }
 
+impl Shared {
+    fn new(config: FleetConfig, journal: Option<std::fs::File>, next_id: u64) -> Shared {
+        Shared {
+            queue: BoundedQueue::new(config.queue_capacity),
+            inner: Mutex::new(Inner {
+                workers: Vec::new(),
+                jobs: HashMap::new(),
+            }),
+            journal: Mutex::new(journal),
+            counters: Counters::default(),
+            latencies: Mutex::new(Vec::new()),
+            queue_waits: Mutex::new(Vec::new()),
+            next_id: AtomicU64::new(next_id),
+            next_lease: AtomicU64::new(1),
+            draining: AtomicBool::new(false),
+            started: Instant::now(),
+            bus: Arc::new(EventBus::default()),
+            config,
+        }
+    }
+}
+
 /// The running fleet coordinator. Share behind an `Arc` when multiple
 /// frontends need it — the HTTP server does.
 pub struct FleetCoordinator {
@@ -630,23 +683,7 @@ impl FleetCoordinator {
             );
         }
 
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            inner: Mutex::new(Inner {
-                workers: Vec::new(),
-                jobs: HashMap::new(),
-            }),
-            journal: Mutex::new(journal_file),
-            counters: Counters::default(),
-            latencies: Mutex::new(Vec::new()),
-            queue_waits: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(replay.next_id.max(1)),
-            next_lease: AtomicU64::new(1),
-            draining: AtomicBool::new(false),
-            started: Instant::now(),
-            bus: Arc::new(EventBus::default()),
-            config,
-        });
+        let shared = Arc::new(Shared::new(config, journal_file, replay.next_id.max(1)));
         shared
             .counters
             .journal_duplicates
@@ -666,58 +703,25 @@ impl FleetCoordinator {
                 let Some(state) = state_from_name(state) else {
                     continue; // tombstones (e.g. rejected submissions)
                 };
+                // The spec is not re-materialized for terminal jobs.
+                let placeholder = FleetJob::queued(id, JobSpec::two_rail(0.1), *fp, None, true);
                 inner.jobs.insert(
                     id,
                     FleetJob {
-                        id,
-                        spec: JobSpec::two_rail(0.1), // spec not re-materialized for terminal jobs
-                        fp: *fp,
                         state,
                         priority: Priority::Normal,
-                        attempts: 0,
-                        submitted: Instant::now(),
-                        deadline_ms: None,
-                        queue_ms: 0.0,
-                        run_ms: 0.0,
                         rails_total: 0,
-                        rails_complete: 0,
-                        resumed: 0,
-                        recovered: true,
-                        lease: None,
-                        solves: 0,
-                        area_mm2: 0.0,
-                        error: None,
                         terminal_transitions: 1,
+                        ..placeholder
                     },
                 );
             }
             for (id, spec, deadline_ms) in replay.pending {
                 let priority = spec.priority;
                 let fp = spec_fingerprint(&spec);
-                inner.jobs.insert(
-                    id,
-                    FleetJob {
-                        id,
-                        rails_total: spec.rails.len(),
-                        spec,
-                        fp,
-                        state: JobState::Queued,
-                        priority,
-                        attempts: 0,
-                        submitted: Instant::now(),
-                        deadline_ms,
-                        queue_ms: 0.0,
-                        run_ms: 0.0,
-                        rails_complete: 0,
-                        resumed: 0,
-                        recovered: true,
-                        lease: None,
-                        solves: 0,
-                        area_mm2: 0.0,
-                        error: None,
-                        terminal_transitions: 0,
-                    },
-                );
+                inner
+                    .jobs
+                    .insert(id, FleetJob::queued(id, spec, fp, deadline_ms, true));
                 shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
                 shared.counters.recovered.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter!("fleet.recovered");
@@ -780,33 +784,9 @@ impl FleetCoordinator {
             return Err(SubmitError::Journal(e));
         }
 
-        {
-            let mut inner = lock_inner(s);
-            inner.jobs.insert(
-                id,
-                FleetJob {
-                    id,
-                    rails_total: spec.rails.len(),
-                    spec,
-                    fp,
-                    state: JobState::Queued,
-                    priority,
-                    attempts: 0,
-                    submitted: Instant::now(),
-                    deadline_ms,
-                    queue_ms: 0.0,
-                    run_ms: 0.0,
-                    rails_complete: 0,
-                    resumed: 0,
-                    recovered: false,
-                    lease: None,
-                    solves: 0,
-                    area_mm2: 0.0,
-                    error: None,
-                    terminal_transitions: 0,
-                },
-            );
-        }
+        lock_inner(s)
+            .jobs
+            .insert(id, FleetJob::queued(id, spec, fp, deadline_ms, false));
 
         match s.queue.admit(id, priority) {
             Ok(Admitted::Queued) => {}
@@ -1269,6 +1249,16 @@ fn spawn_worker(s: &Arc<Shared>) -> std::io::Result<JoinHandle<()>> {
 
     let w = {
         let mut inner = lock_inner(s);
+        // `drain` raises the flag before it closes every registered
+        // worker's stdin under this lock. A replacement that passed
+        // `worker_died`'s unlocked check but registers after that must
+        // not keep its pipe open: it would never see EOF, and drain
+        // would wait out its reap timeout.
+        let stdin = if s.draining.load(Ordering::SeqCst) {
+            None
+        } else {
+            stdin
+        };
         inner.workers.push(WorkerSlot {
             child: Some(child),
             stdin,
@@ -1626,8 +1616,16 @@ fn dispatch_loop(s: &Arc<Shared>) {
 
 fn dispatch(s: &Arc<Shared>, entry: QueueEntry) {
     let id = entry.id;
-    let lease = s.next_lease.fetch_add(1, Ordering::SeqCst);
     let mut inner = lock_inner(s);
+    // `drain` raises the flag before it counts outstanding leases under
+    // this lock, so re-check here: a dispatcher that passed the
+    // unlocked check in `dispatch_loop` must not lease into a drain.
+    // The job stays journaled for the next coordinator, as in the
+    // draining branch of `dispatch_loop`.
+    if s.draining.load(Ordering::SeqCst) {
+        return;
+    }
+    let lease = s.next_lease.fetch_add(1, Ordering::SeqCst);
     let Some(w) = idle_live_worker(&inner) else {
         // The worker died between the check and the pop: requeue
         // without burning an attempt.
@@ -1833,5 +1831,63 @@ mod tests {
         assert!(r.terminal.is_empty(), "mismatched fp must not finalize");
         assert_eq!(r.malformed, 3);
         assert_eq!(r.pending.len(), 1, "job 1 is still pending");
+    }
+    /// The interleaving: the dispatcher passed its unlocked `draining`
+    /// check and popped an entry; then `drain` raised the flag, counted
+    /// no outstanding lease and closed every worker's stdin. The late
+    /// dispatch must neither lease nor declare the idle worker dead.
+    #[test]
+    fn dispatch_after_drain_began_leases_nothing() {
+        let s = Arc::new(Shared::new(FleetConfig::default(), None, 1));
+        let spec = JobSpec::two_rail(20.0);
+        let fp = spec_fingerprint(&spec);
+        {
+            let mut inner = lock_inner(&s);
+            inner.workers.push(WorkerSlot {
+                child: None,
+                stdin: None,
+                pid: 0,
+                state: SlotState::Idle,
+                last_beat: Instant::now(),
+            });
+            inner
+                .jobs
+                .insert(1, FleetJob::queued(1, spec, fp, None, false));
+        }
+        s.draining.store(true, Ordering::SeqCst);
+        let entry = QueueEntry {
+            id: 1,
+            priority: Priority::Normal,
+            seq: 0,
+            ready_at: Instant::now(),
+            attempt: 0,
+        };
+        dispatch(&s, entry);
+        let inner = lock_inner(&s);
+        let job = &inner.jobs[&1];
+        assert_eq!(job.state, JobState::Queued);
+        assert_eq!((job.lease, job.attempts), (None, 0));
+        assert_eq!(inner.workers[0].state, SlotState::Idle);
+        assert_eq!(s.counters.workers_dead.load(Ordering::SeqCst), 0);
+    }
+
+    /// The interleaving: `worker_died` passed its unlocked `draining`
+    /// check and spawned a replacement; `drain` closed every registered
+    /// stdin before the replacement registered. Its pipe must be closed
+    /// too, or it never sees EOF.
+    #[test]
+    fn worker_spawned_after_drain_began_gets_no_stdin() {
+        // Any executable will do: the test binary itself exits at once
+        // on the worker flags it does not know.
+        let config = FleetConfig {
+            worker_cmd: Some(std::env::current_exe().expect("test binary path")),
+            ..FleetConfig::default()
+        };
+        let s = Arc::new(Shared::new(config, None, 1));
+        s.draining.store(true, Ordering::SeqCst);
+        let reader = spawn_worker(&s).expect("spawn");
+        assert!(lock_inner(&s).workers[0].stdin.is_none());
+        reader.join().expect("reader thread");
+        assert_eq!(lock_inner(&s).workers[0].state, SlotState::Dead);
     }
 }

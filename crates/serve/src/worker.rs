@@ -196,22 +196,29 @@ where
 
     // Heartbeats flow on their own thread for the whole process
     // lifetime; `blackout` silences them without stopping the clock.
+    // The startup beat is sent here, before the thread exists: the
+    // coordinator's liveness check must not depend on the beat thread
+    // being scheduled before a short input runs out and sets `stop`.
     let stop = Arc::new(AtomicBool::new(false));
     let blackout = Arc::new(AtomicBool::new(false));
+    let seq = AtomicU64::new(0);
+    out.send(&WorkerFrame::Heartbeat {
+        seq: seq.fetch_add(1, Ordering::SeqCst),
+    });
     let beat = {
         let out = Arc::clone(&out);
         let stop = Arc::clone(&stop);
         let blackout = Arc::clone(&blackout);
         let period = Duration::from_millis(config.heartbeat_ms.max(1));
-        let seq = AtomicU64::new(0);
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                if !blackout.load(Ordering::SeqCst) {
-                    out.send(&WorkerFrame::Heartbeat {
-                        seq: seq.fetch_add(1, Ordering::SeqCst),
-                    });
-                }
-                std::thread::sleep(period);
+        std::thread::spawn(move || loop {
+            std::thread::sleep(period);
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            if !blackout.load(Ordering::SeqCst) {
+                out.send(&WorkerFrame::Heartbeat {
+                    seq: seq.fetch_add(1, Ordering::SeqCst),
+                });
             }
         })
     };
@@ -584,19 +591,25 @@ mod tests {
 
     #[test]
     fn worker_heartbeats_while_idle_and_skips_garbage() {
-        // No lease at all: just garbage lines, then EOF.
-        let input = "nonsense\n{\"type\":\"warp\"}\n";
-        let out = SharedBuf::default();
-        let config = WorkerConfig {
-            heartbeat_ms: 5,
-            router: fast_router(),
-            ..WorkerConfig::default()
-        };
-        let served = run_worker(config, Cursor::new(input), out.clone());
-        assert_eq!(served, 0);
-        // The heartbeat thread gets at least the startup beat out.
-        assert!(frames(&out)
-            .iter()
-            .any(|f| matches!(f, WorkerFrame::Heartbeat { .. })));
+        // No lease at all: just garbage lines, then EOF. The input ends
+        // before the beat thread is likely to be scheduled, so repeat
+        // the run: the startup beat must go out every time.
+        for run in 0..50 {
+            let input = "nonsense\n{\"type\":\"warp\"}\n";
+            let out = SharedBuf::default();
+            let config = WorkerConfig {
+                heartbeat_ms: 5,
+                router: fast_router(),
+                ..WorkerConfig::default()
+            };
+            let served = run_worker(config, Cursor::new(input), out.clone());
+            assert_eq!(served, 0);
+            assert!(
+                frames(&out)
+                    .iter()
+                    .any(|f| matches!(f, WorkerFrame::Heartbeat { .. })),
+                "run {run}: no startup heartbeat"
+            );
+        }
     }
 }

@@ -1,19 +1,62 @@
-//! End-to-end routing determinism across solver configurations.
+//! End-to-end routing determinism against recorded scratch goldens.
 //!
-//! The incremental nodal engine guarantees bit-identical routes at any
-//! solver thread count (the multi-RHS reduction is sequential in pair
-//! order regardless of how columns are distributed) and, at the default
-//! settings, bit-identical routes with the engine on or off. This test
-//! routes a multi-rail job under each configuration and compares the
-//! shipped shapes, subgraphs, and objectives exactly.
+//! The incremental nodal session and the persistent tiling sessions are
+//! bit-identical to the from-scratch evaluators ([`node_current`] and
+//! [`space_to_graph`]). The constants below were recorded by routing
+//! this two-rail job with both from-scratch evaluators; the two engines
+//! agreed bit for bit on every field. Routing it now through the one
+//! production path must reproduce them exactly.
+//!
+//! [`node_current`]: sprout_core::current::node_current
+//! [`space_to_graph`]: sprout_core::tile::space_to_graph
 
+use sprout_board::io::fnv1a64;
 use sprout_board::presets;
 use sprout_core::reheat::ReheatConfig;
 use sprout_core::router::{Router, RouterConfig};
-use sprout_core::{NodeId, RouteResult, SolverConfig, SolverEngine};
+use sprout_core::RouteResult;
 
-fn config(solver: SolverConfig) -> RouterConfig {
-    RouterConfig {
+/// One rail's recorded route.
+struct Golden {
+    final_resistance_sq_bits: u64,
+    area_mm2_bits: u64,
+    /// [`fnv1a64`] of the member list as little-endian `u32` node ids,
+    /// in subgraph order.
+    members_fnv: u64,
+    /// [`fnv1a64`] of `resistance_history_sq` as little-endian bit
+    /// patterns.
+    history_fnv: u64,
+    history_len: usize,
+    solves: usize,
+    /// Metric evaluations (`factorizations + factor_updates`); the
+    /// scratch engine factored every one of them from scratch.
+    evaluations: usize,
+}
+
+const GOLDENS: [Golden; 2] = [
+    Golden {
+        final_resistance_sq_bits: 0x403b_72ca_8fd2_3739,
+        area_mm2_bits: 0x4034_0000_0000_0000,
+        members_fnv: 0xba63_2bc1_083b_37a1,
+        history_fnv: 0x783b_1333_88f5_788e,
+        history_len: 11,
+        solves: 225,
+        evaluations: 25,
+    },
+    Golden {
+        final_resistance_sq_bits: 0x403b_5612_3a3e_b0f8,
+        area_mm2_bits: 0x4034_0000_0000_0000,
+        members_fnv: 0x136a_35ae_3956_2fbf,
+        history_fnv: 0x4128_971a_9319_d3f2,
+        history_len: 11,
+        solves: 225,
+        evaluations: 25,
+    },
+];
+
+fn route_all() -> Vec<RouteResult> {
+    let board = presets::two_rail();
+    let config = RouterConfig {
         tile_pitch_mm: 0.5,
         grow_iterations: 8,
         refine_iterations: 3,
@@ -21,102 +64,84 @@ fn config(solver: SolverConfig) -> RouterConfig {
             dilate_iterations: 1,
             erode_step: 24,
         }),
-        solver,
         ..RouterConfig::default()
-    }
-}
-
-fn route_all(solver: SolverConfig) -> Vec<RouteResult> {
-    let board = presets::two_rail();
-    let router = Router::new(&board, config(solver));
+    };
+    let router = Router::new(&board, config);
     let nets: Vec<_> = board.power_nets().map(|(id, _)| id).collect();
     let layer = presets::TWO_RAIL_ROUTE_LAYER;
     let requests: Vec<_> = nets.into_iter().map(|n| (n, layer, 20.0)).collect();
     router.route_all(&requests).into_results().unwrap()
 }
 
-fn assert_identical(label: &str, a: &[RouteResult], b: &[RouteResult]) {
-    assert_eq!(a.len(), b.len(), "{label}: rail count");
-    for (ra, rb) in a.iter().zip(b) {
-        assert_eq!(ra.net, rb.net, "{label}: rail order");
-        assert_eq!(
-            ra.final_resistance_sq.to_bits(),
-            rb.final_resistance_sq.to_bits(),
-            "{label}: objective must be bit-identical for {:?}",
-            ra.net
-        );
-        let ma: &[NodeId] = ra.subgraph.members();
-        let mb: &[NodeId] = rb.subgraph.members();
-        assert_eq!(ma, mb, "{label}: subgraph membership for {:?}", ra.net);
-        assert_eq!(
-            ra.shape.area_mm2().to_bits(),
-            rb.shape.area_mm2().to_bits(),
-            "{label}: shipped area for {:?}",
-            ra.net
-        );
-        assert_eq!(
-            ra.resistance_history_sq.len(),
-            rb.resistance_history_sq.len(),
-            "{label}: history length for {:?}",
-            ra.net
-        );
-        for (ha, hb) in ra
-            .resistance_history_sq
-            .iter()
-            .zip(&rb.resistance_history_sq)
-        {
-            assert_eq!(
-                ha.to_bits(),
-                hb.to_bits(),
-                "{label}: history entry for {:?}",
-                ra.net
-            );
-        }
-    }
+fn members_fnv(route: &RouteResult) -> u64 {
+    let bytes: Vec<u8> = route
+        .subgraph
+        .members()
+        .iter()
+        .flat_map(|n| n.0.to_le_bytes())
+        .collect();
+    fnv1a64(&bytes)
+}
+
+fn history_fnv(route: &RouteResult) -> u64 {
+    let bytes: Vec<u8> = route
+        .resistance_history_sq
+        .iter()
+        .flat_map(|r| r.to_bits().to_le_bytes())
+        .collect();
+    fnv1a64(&bytes)
 }
 
 #[test]
-fn routes_are_bit_identical_across_thread_counts_and_engines() {
-    let reference = route_all(SolverConfig::default());
-    assert_eq!(reference.len(), 2, "two-rail preset routes two rails");
-
-    for threads in [2usize, 8] {
-        let multi = route_all(SolverConfig {
-            threads,
-            ..SolverConfig::default()
-        });
-        assert_identical(&format!("threads={threads}"), &reference, &multi);
+fn routes_match_recorded_scratch_goldens() {
+    let routes = route_all();
+    assert_eq!(
+        routes.len(),
+        GOLDENS.len(),
+        "two-rail preset routes two rails"
+    );
+    for (route, golden) in routes.iter().zip(&GOLDENS) {
+        let net = route.net;
+        assert_eq!(
+            route.final_resistance_sq.to_bits(),
+            golden.final_resistance_sq_bits,
+            "{net:?}: objective must be bit-identical ({})",
+            route.final_resistance_sq
+        );
+        assert_eq!(
+            route.shape.area_mm2().to_bits(),
+            golden.area_mm2_bits,
+            "{net:?}: shipped area"
+        );
+        assert_eq!(
+            members_fnv(route),
+            golden.members_fnv,
+            "{net:?}: subgraph membership"
+        );
+        assert_eq!(
+            route.resistance_history_sq.len(),
+            golden.history_len,
+            "{net:?}: history length"
+        );
+        assert_eq!(history_fnv(route), golden.history_fnv, "{net:?}: history");
+        assert_eq!(route.timings.solves, golden.solves, "{net:?}: solve count");
     }
-
-    let scratch = route_all(SolverConfig {
-        engine: SolverEngine::Scratch,
-        ..SolverConfig::default()
-    });
-    assert_identical("engine=scratch", &reference, &scratch);
 }
 
 #[test]
 fn incremental_engine_skips_factorizations() {
-    let incremental = route_all(SolverConfig::default());
-    let scratch = route_all(SolverConfig {
-        engine: SolverEngine::Scratch,
-        ..SolverConfig::default()
-    });
-    for (inc, scr) in incremental.iter().zip(&scratch) {
-        assert_eq!(
-            inc.timings.factorizations + inc.timings.factor_updates,
-            scr.timings.factorizations + scr.timings.factor_updates,
-            "both engines perform the same number of metric evaluations"
-        );
+    for (route, golden) in route_all().iter().zip(&GOLDENS) {
+        let t = route.timings;
         assert!(
-            inc.timings.factorizations < scr.timings.factorizations,
-            "the session must avoid full factorizations: {} vs {}",
-            inc.timings.factorizations,
-            scr.timings.factorizations
+            t.factor_updates > 0,
+            "{:?}: the session must serve some evaluations without a full factor",
+            route.net
         );
         assert_eq!(
-            scr.timings.factor_updates, 0,
-            "the scratch engine factors from scratch every time"
+            t.factorizations + t.factor_updates,
+            golden.evaluations,
+            "{:?}: every recorded metric evaluation is either factored or updated",
+            route.net
         );
     }
 }
