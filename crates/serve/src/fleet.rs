@@ -11,9 +11,9 @@
 //! The machinery, layer by layer:
 //!
 //! * **Leases** — a job is dispatched under a fresh lease id. Only a
-//!   `done` frame carrying the *current* lease finalizes the job; a
+//!   `done` frame carrying the *current* lease settles the job; a
 //!   slow-then-revived worker reporting under an expired lease is
-//!   counted in [`FleetMetrics::stale_finalizes`] and ignored.
+//!   counted in [`ServiceMetrics::stale_finalizes`] and ignored.
 //! * **Heartbeats** — workers beat on a timer from a dedicated thread.
 //!   A worker silent past [`FleetConfig::heartbeat_timeout_ms`] is
 //!   declared dead: its lease expires, its job re-enters the queue with
@@ -25,7 +25,10 @@
 //!   `fleet.journal` keyed on `(job id, spec fingerprint)`; replay is
 //!   first-wins ([`replay_journal`]), so duplicate or interleaved
 //!   terminal records — the revived-worker case — collapse to exactly
-//!   one terminal state, across coordinator restarts too.
+//!   one terminal state, across coordinator restarts too. The journal,
+//!   the job table, retry and settle are the [`crate::lifecycle`] core
+//!   the in-process service shares; this module is the process
+//!   executor: worker slots, leases, heartbeats and respawn.
 //! * **Supervision** — dead workers are respawned (bounded by
 //!   [`FleetConfig::max_worker_restarts`]); when every worker is dead
 //!   and the restart budget is spent, queued jobs fail with a typed
@@ -38,13 +41,12 @@
 use crate::backoff::BackoffConfig;
 use crate::chaos::FleetFaultPlan;
 use crate::events::{EventBus, EventKind};
-use crate::job::{JobSnapshot, JobSpec, JobState, Priority};
-use crate::proto::{spec_fingerprint, CoordFrame, DoneFrame, WorkerFrame, MAX_FRAME_BYTES};
-use crate::queue::{Admitted, BoundedQueue, Popped, QueueEntry};
-use crate::service::{percentiles, render_json, Readiness, ServeError, SubmitError};
-use sprout_telemetry::{self as telemetry, json::Obj};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use crate::job::{JobSnapshot, JobSpec, JobState};
+use crate::lifecycle::{CoreConfig, JobCore, Retry};
+use crate::proto::{CoordFrame, WorkerFrame};
+use crate::queue::{Popped, QueueEntry};
+use crate::service::{Readiness, ServeError, ServiceMetrics, SubmitError};
+use sprout_telemetry as telemetry;
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -52,6 +54,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+pub use crate::lifecycle::{replay_journal, JournalReplay};
 
 /// Fleet configuration.
 #[derive(Debug, Clone)]
@@ -118,369 +122,6 @@ impl Default for FleetConfig {
     }
 }
 
-/// Fleet counters, the `/metrics` payload of a fleet-backed server.
-#[derive(Debug, Clone, Default)]
-pub struct FleetMetrics {
-    /// Workers currently alive (heartbeating or within their timeout).
-    pub workers_live: usize,
-    /// Workers spawned since start (initial + replacements).
-    pub workers_spawned: u64,
-    /// Workers declared dead.
-    pub workers_dead: u64,
-    /// Replacement workers spawned after a death.
-    pub worker_restarts: u64,
-    /// Jobs waiting in the queue.
-    pub queue_depth: usize,
-    /// Jobs currently out under a lease.
-    pub leased: usize,
-    /// Jobs accepted (recovered jobs included).
-    pub accepted: u64,
-    /// Submissions rejected with backpressure.
-    pub rejected: u64,
-    /// Terminal: completed.
-    pub completed: u64,
-    /// Terminal: partial results shipped.
-    pub best_so_far: u64,
-    /// Terminal: failed with a typed error.
-    pub failed: u64,
-    /// Terminal: shed under saturation.
-    pub shed: u64,
-    /// Terminal: deadline expired.
-    pub expired: u64,
-    /// Terminal: cancelled.
-    pub cancelled: u64,
-    /// Worker-reported retryable failures re-dispatched.
-    pub retries: u64,
-    /// Leases expired by worker death and re-dispatched.
-    pub redispatches: u64,
-    /// `done` frames rejected for carrying an expired lease or an
-    /// already-terminal job — the double-finalize attempts defeated.
-    pub stale_finalizes: u64,
-    /// Jobs re-admitted from the journal at start.
-    pub recovered: u64,
-    /// Duplicate/conflicting journal records ignored during replay.
-    pub journal_duplicates: u64,
-    /// In-memory double-finalize attempts — always 0 unless the
-    /// exactly-once invariant broke.
-    pub terminal_violations: u64,
-    /// Median admission→terminal latency (ms).
-    pub latency_p50_ms: f64,
-    /// 99th-percentile admission→terminal latency (ms).
-    pub latency_p99_ms: f64,
-    /// Seconds since the coordinator started.
-    pub uptime_seconds: f64,
-    /// Events published onto the fleet's per-job event bus.
-    pub events_published: u64,
-    /// Events evicted from full per-job rings (drop-oldest).
-    pub events_dropped: u64,
-    /// Median admission→lease queue wait (ms).
-    pub queue_wait_p50_ms: f64,
-    /// 99th-percentile admission→lease queue wait (ms).
-    pub queue_wait_p99_ms: f64,
-    /// Queue-wait samples recorded (one per lease grant).
-    pub queue_wait_count: u64,
-    /// Sum of all queue waits (ms) — the Prometheus summary `_sum`.
-    pub queue_wait_sum_ms: f64,
-    /// Sum of all terminal latencies (ms) — the Prometheus summary `_sum`.
-    pub latency_sum_ms: f64,
-}
-
-impl FleetMetrics {
-    /// One JSON line (the fleet `/metrics` body).
-    pub fn to_json(&self) -> String {
-        let mut o = Obj::new();
-        o.u64("workers_live", self.workers_live as u64)
-            .u64("workers_spawned", self.workers_spawned)
-            .u64("workers_dead", self.workers_dead)
-            .u64("worker_restarts", self.worker_restarts)
-            .u64("queue_depth", self.queue_depth as u64)
-            .u64("leased", self.leased as u64)
-            .u64("accepted", self.accepted)
-            .u64("rejected", self.rejected)
-            .u64("completed", self.completed)
-            .u64("best_so_far", self.best_so_far)
-            .u64("failed", self.failed)
-            .u64("shed", self.shed)
-            .u64("expired", self.expired)
-            .u64("cancelled", self.cancelled)
-            .u64("retries", self.retries)
-            .u64("redispatches", self.redispatches)
-            .u64("stale_finalizes", self.stale_finalizes)
-            .u64("recovered", self.recovered)
-            .u64("journal_duplicates", self.journal_duplicates)
-            .u64("terminal_violations", self.terminal_violations)
-            .f64("latency_p50_ms", self.latency_p50_ms)
-            .f64("latency_p99_ms", self.latency_p99_ms)
-            .f64("uptime_seconds", self.uptime_seconds)
-            .u64("events_published", self.events_published)
-            .u64("events_dropped", self.events_dropped)
-            .f64("queue_wait_p50_ms", self.queue_wait_p50_ms)
-            .f64("queue_wait_p99_ms", self.queue_wait_p99_ms);
-        o.finish()
-    }
-
-    /// Prometheus text exposition of the same counters, under
-    /// `<prefix>` (the fleet server uses `sprout_fleet_`).
-    pub fn to_prometheus(&self, prefix: &str) -> String {
-        use sprout_telemetry::prom::PromText;
-        let name = |n: &str| format!("{prefix}{n}");
-        let mut p = PromText::new();
-        p.gauge(
-            &name("queue_depth"),
-            "Jobs waiting in the queue.",
-            self.queue_depth as f64,
-        );
-        p.gauge(
-            &name("leased"),
-            "Jobs currently out under a lease.",
-            self.leased as f64,
-        );
-        p.gauge(
-            &name("workers_live"),
-            "Workers currently alive.",
-            self.workers_live as f64,
-        );
-        p.gauge(
-            &name("uptime_seconds"),
-            "Seconds since the coordinator started.",
-            self.uptime_seconds,
-        );
-        let counters: &[(&str, &str, u64)] = &[
-            (
-                "workers_spawned_total",
-                "Workers spawned since start.",
-                self.workers_spawned,
-            ),
-            (
-                "workers_dead_total",
-                "Workers declared dead.",
-                self.workers_dead,
-            ),
-            (
-                "worker_restarts_total",
-                "Replacement workers spawned.",
-                self.worker_restarts,
-            ),
-            ("accepted_total", "Jobs accepted.", self.accepted),
-            (
-                "rejected_total",
-                "Submissions rejected with backpressure.",
-                self.rejected,
-            ),
-            ("completed_total", "Jobs completed.", self.completed),
-            (
-                "best_so_far_total",
-                "Partial results shipped.",
-                self.best_so_far,
-            ),
-            (
-                "failed_total",
-                "Jobs failed with a typed error.",
-                self.failed,
-            ),
-            ("shed_total", "Jobs shed under saturation.", self.shed),
-            (
-                "expired_total",
-                "Jobs expired past their deadline.",
-                self.expired,
-            ),
-            ("cancelled_total", "Jobs cancelled.", self.cancelled),
-            (
-                "retries_total",
-                "Worker-reported retryable failures re-dispatched.",
-                self.retries,
-            ),
-            (
-                "redispatches_total",
-                "Leases expired by worker death and re-dispatched.",
-                self.redispatches,
-            ),
-            (
-                "stale_finalizes_total",
-                "Double-finalize attempts defeated.",
-                self.stale_finalizes,
-            ),
-            (
-                "recovered_total",
-                "Jobs re-admitted from the journal.",
-                self.recovered,
-            ),
-            (
-                "journal_duplicates_total",
-                "Duplicate journal records ignored.",
-                self.journal_duplicates,
-            ),
-            (
-                "terminal_violations_total",
-                "Exactly-once invariant violations.",
-                self.terminal_violations,
-            ),
-            (
-                "events_published_total",
-                "Events published onto the event bus.",
-                self.events_published,
-            ),
-            (
-                "events_dropped_total",
-                "Events evicted from full per-job rings.",
-                self.events_dropped,
-            ),
-        ];
-        for (n, help, v) in counters {
-            p.counter(&name(n), help, *v);
-        }
-        let terminal = self.completed
-            + self.best_so_far
-            + self.failed
-            + self.shed
-            + self.expired
-            + self.cancelled;
-        p.summary(
-            &name("latency_ms"),
-            "Admission-to-terminal latency (ms).",
-            &[(0.5, self.latency_p50_ms), (0.99, self.latency_p99_ms)],
-            terminal,
-            self.latency_sum_ms,
-        );
-        p.summary(
-            &name("queue_wait_ms"),
-            "Admission-to-lease queue wait (ms).",
-            &[
-                (0.5, self.queue_wait_p50_ms),
-                (0.99, self.queue_wait_p99_ms),
-            ],
-            self.queue_wait_count,
-            self.queue_wait_sum_ms,
-        );
-        p.registry("sprout_", telemetry::metrics::global());
-        p.finish()
-    }
-}
-
-// ---- journal -----------------------------------------------------------
-
-/// The outcome of replaying a fleet journal — a pure function of the
-/// journal text, exposed so the idempotence tests can drive it with
-/// hand-built (including hostile) journals.
-#[derive(Debug, Default)]
-pub struct JournalReplay {
-    /// Admitted jobs without a terminal record, in id order: the work a
-    /// restarted coordinator must re-dispatch.
-    pub pending: Vec<(u64, JobSpec, Option<f64>)>,
-    /// First terminal record per job: `id → (state name, fingerprint)`.
-    pub terminal: HashMap<u64, (String, u64)>,
-    /// Duplicate admits and duplicate/conflicting terminal records
-    /// ignored (first record wins).
-    pub duplicates: u64,
-    /// Unparseable or orphaned lines skipped.
-    pub malformed: u64,
-    /// One past the highest id seen.
-    pub next_id: u64,
-}
-
-/// Replays a fleet journal. First record wins throughout: a journal
-/// holding duplicate or interleaved terminal records for one job — the
-/// slow-then-revived worker, or a double-finalize bug — still replays
-/// to exactly one terminal state per job. A terminal record whose
-/// fingerprint does not match the admitted spec is ignored as
-/// malformed: it cannot have been computed for that job.
-pub fn replay_journal(text: &str) -> JournalReplay {
-    use sprout_telemetry::json::{self, Json};
-    let mut out = JournalReplay::default();
-    let mut admitted: HashMap<u64, (JobSpec, u64, Option<f64>)> = HashMap::new();
-    let mut order: Vec<u64> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.len() > MAX_FRAME_BYTES {
-            out.malformed += 1;
-            continue;
-        }
-        let Ok(root) = json::parse(line) else {
-            out.malformed += 1;
-            continue;
-        };
-        let kind = root.get("kind").and_then(Json::as_str).unwrap_or("");
-        let Some(id) = root.get("id").and_then(Json::as_u64) else {
-            out.malformed += 1;
-            continue;
-        };
-        // Fingerprints are full 64-bit values; JSON numbers are f64 and
-        // would round them, so the journal stores them as hex strings.
-        let Some(fp) = root
-            .get("fp")
-            .and_then(Json::as_str)
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-        else {
-            out.malformed += 1;
-            continue;
-        };
-        out.next_id = out.next_id.max(id + 1);
-        match kind {
-            "admit" => {
-                let Some(spec_json) = root.get("spec").map(render_json) else {
-                    out.malformed += 1;
-                    continue;
-                };
-                let Ok(spec) = JobSpec::parse(&spec_json) else {
-                    out.malformed += 1;
-                    continue;
-                };
-                if spec_fingerprint(&spec) != fp {
-                    out.malformed += 1;
-                    continue;
-                }
-                if admitted.contains_key(&id) {
-                    out.duplicates += 1;
-                    continue;
-                }
-                let deadline = root.get("deadline_ms").and_then(|v| v.as_f64());
-                admitted.insert(id, (spec, fp, deadline));
-                order.push(id);
-            }
-            "done" => {
-                let Some(state) = root.get("state").and_then(Json::as_str) else {
-                    out.malformed += 1;
-                    continue;
-                };
-                match admitted.get(&id) {
-                    None => out.malformed += 1, // orphaned terminal record
-                    Some((_, admit_fp, _)) if *admit_fp != fp => out.malformed += 1,
-                    Some(_) => match out.terminal.entry(id) {
-                        Entry::Occupied(_) => out.duplicates += 1, // first record wins
-                        Entry::Vacant(v) => {
-                            v.insert((state.to_owned(), fp));
-                        }
-                    },
-                }
-            }
-            _ => out.malformed += 1,
-        }
-    }
-    for id in order {
-        if out.terminal.contains_key(&id) {
-            continue;
-        }
-        let (spec, _, deadline) = admitted.remove(&id).expect("ordered ids were admitted");
-        out.pending.push((id, spec, deadline));
-    }
-    out
-}
-
-fn state_from_name(name: &str) -> Option<JobState> {
-    match name {
-        "completed" => Some(JobState::Completed),
-        "best_so_far" => Some(JobState::BestSoFar),
-        "failed" => Some(JobState::Failed),
-        "shed" => Some(JobState::Shed),
-        "expired" => Some(JobState::Expired),
-        "cancelled" => Some(JobState::Cancelled),
-        _ => None,
-    }
-}
-
 // ---- coordinator internals ---------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -498,142 +139,30 @@ struct WorkerSlot {
     last_beat: Instant,
 }
 
-struct FleetJob {
-    id: u64,
-    spec: JobSpec,
-    fp: u64,
-    state: JobState,
-    priority: Priority,
-    attempts: usize,
-    submitted: Instant,
-    deadline_ms: Option<f64>,
-    queue_ms: f64,
-    run_ms: f64,
-    rails_total: usize,
-    rails_complete: usize,
-    resumed: usize,
-    recovered: bool,
-    lease: Option<(u64, usize)>,
-    solves: u64,
-    area_mm2: f64,
-    error: Option<String>,
-    terminal_transitions: usize,
-}
-
-impl FleetJob {
-    /// A freshly admitted (or journal-recovered) job waiting for a lease.
-    fn queued(
-        id: u64,
-        spec: JobSpec,
-        fp: u64,
-        deadline_ms: Option<f64>,
-        recovered: bool,
-    ) -> FleetJob {
-        FleetJob {
-            id,
-            rails_total: spec.rails.len(),
-            priority: spec.priority,
-            spec,
-            fp,
-            state: JobState::Queued,
-            attempts: 0,
-            submitted: Instant::now(),
-            deadline_ms,
-            queue_ms: 0.0,
-            run_ms: 0.0,
-            rails_complete: 0,
-            resumed: 0,
-            recovered,
-            lease: None,
-            solves: 0,
-            area_mm2: 0.0,
-            error: None,
-            terminal_transitions: 0,
-        }
-    }
-
-    fn snapshot(&self) -> JobSnapshot {
-        JobSnapshot {
-            id: self.id,
-            tag: self.spec.tag.clone(),
-            state: self.state,
-            priority: self.priority,
-            attempts: self.attempts,
-            rails_total: self.rails_total,
-            rails_complete: self.rails_complete,
-            resumed: self.resumed,
-            recovered: self.recovered,
-            killed: false,
-            queue_ms: self.queue_ms,
-            run_ms: self.run_ms,
-            solves: self.solves,
-            area_mm2: self.area_mm2,
-            error: self.error.clone(),
-            terminal_transitions: self.terminal_transitions,
-        }
-    }
-}
-
-#[derive(Default)]
-struct Counters {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    best_so_far: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    expired: AtomicU64,
-    cancelled: AtomicU64,
-    retries: AtomicU64,
-    redispatches: AtomicU64,
-    stale_finalizes: AtomicU64,
-    recovered: AtomicU64,
-    journal_duplicates: AtomicU64,
-    terminal_violations: AtomicU64,
-    workers_spawned: AtomicU64,
-    workers_dead: AtomicU64,
-    worker_restarts: AtomicU64,
-}
-
-struct Inner {
-    workers: Vec<WorkerSlot>,
-    jobs: HashMap<u64, FleetJob>,
-}
-
 struct Shared {
     config: FleetConfig,
-    queue: BoundedQueue,
-    inner: Mutex<Inner>,
-    journal: Mutex<Option<std::fs::File>>,
-    counters: Counters,
-    latencies: Mutex<Vec<f64>>,
-    queue_waits: Mutex<Vec<f64>>,
-    next_id: AtomicU64,
+    core: JobCore,
+    // Lock order: `workers` before the core's job table, never the
+    // other way round.
+    workers: Mutex<Vec<WorkerSlot>>,
     next_lease: AtomicU64,
-    draining: AtomicBool,
-    started: Instant,
-    bus: Arc<EventBus>,
 }
 
 impl Shared {
-    fn new(config: FleetConfig, journal: Option<std::fs::File>, next_id: u64) -> Shared {
-        Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            inner: Mutex::new(Inner {
-                workers: Vec::new(),
-                jobs: HashMap::new(),
-            }),
-            journal: Mutex::new(journal),
-            counters: Counters::default(),
-            latencies: Mutex::new(Vec::new()),
-            queue_waits: Mutex::new(Vec::new()),
-            next_id: AtomicU64::new(next_id),
+    fn new(config: FleetConfig) -> Result<Shared, ServeError> {
+        Ok(Shared {
+            core: JobCore::open(CoreConfig {
+                queue_capacity: config.queue_capacity,
+                max_job_retries: config.max_job_retries,
+                backoff: config.backoff,
+                default_deadline_ms: config.default_deadline_ms,
+                overload_watermark: config.overload_watermark,
+                data_dir: config.data_dir.clone(),
+            })?,
+            workers: Mutex::new(Vec::new()),
             next_lease: AtomicU64::new(1),
-            draining: AtomicBool::new(false),
-            started: Instant::now(),
-            bus: Arc::new(EventBus::default()),
             config,
-        }
+        })
     }
 }
 
@@ -665,96 +194,30 @@ impl FleetCoordinator {
                 "heartbeat_timeout_ms must exceed heartbeat_ms",
             ));
         }
-
-        let mut journal_file = None;
-        let mut replay = JournalReplay::default();
-        if let Some(dir) = &config.data_dir {
-            std::fs::create_dir_all(dir).map_err(|e| ServeError::Io(e.to_string()))?;
-            let path = dir.join("fleet.journal");
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                replay = replay_journal(&text);
-            }
-            journal_file = Some(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                    .map_err(|e| ServeError::Io(e.to_string()))?,
-            );
-        }
-
-        let shared = Arc::new(Shared::new(config, journal_file, replay.next_id.max(1)));
-        shared
-            .counters
-            .journal_duplicates
-            .store(replay.duplicates, Ordering::Relaxed);
-
+        let shared = Arc::new(Shared::new(config)?);
         let fleet = FleetCoordinator {
             shared: Arc::clone(&shared),
             threads: Mutex::new(Vec::new()),
         };
-
-        // Materialize journal state: terminal jobs stay terminal (their
-        // in-memory guard blocks any late double finalize), unfinished
-        // jobs re-enter the queue.
-        {
-            let mut inner = lock_inner(&shared);
-            for (&id, (state, fp)) in &replay.terminal {
-                let Some(state) = state_from_name(state) else {
-                    continue; // tombstones (e.g. rejected submissions)
-                };
-                // The spec is not re-materialized for terminal jobs.
-                let placeholder = FleetJob::queued(id, JobSpec::two_rail(0.1), *fp, None, true);
-                inner.jobs.insert(
-                    id,
-                    FleetJob {
-                        state,
-                        priority: Priority::Normal,
-                        rails_total: 0,
-                        terminal_transitions: 1,
-                        ..placeholder
-                    },
-                );
-            }
-            for (id, spec, deadline_ms) in replay.pending {
-                let priority = spec.priority;
-                let fp = spec_fingerprint(&spec);
-                inner
-                    .jobs
-                    .insert(id, FleetJob::queued(id, spec, fp, deadline_ms, true));
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                shared.counters.recovered.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter!("fleet.recovered");
-                shared.queue.reenter(id, priority, 0, Duration::ZERO);
-            }
-        }
-
+        let mut threads = fleet.threads.lock().unwrap_or_else(|e| e.into_inner());
         for _ in 0..shared.config.workers {
-            let handle = spawn_worker(&shared).map_err(|e| ServeError::Io(e.to_string()))?;
-            fleet
-                .threads
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(handle);
+            threads.push(spawn_worker(&shared).map_err(|e| ServeError::Io(e.to_string()))?);
         }
-
-        {
-            let mut threads = fleet.threads.lock().unwrap_or_else(|e| e.into_inner());
-            let s = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("fleet-dispatch".into())
-                    .spawn(move || dispatch_loop(&s))
-                    .map_err(|e| ServeError::Io(e.to_string()))?,
-            );
-            let s = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("fleet-monitor".into())
-                    .spawn(move || monitor_loop(&s))
-                    .map_err(|e| ServeError::Io(e.to_string()))?,
-            );
-        }
+        let s = Arc::clone(&shared);
+        threads.push(
+            std::thread::Builder::new()
+                .name("fleet-dispatch".into())
+                .spawn(move || dispatch_loop(&s))
+                .map_err(|e| ServeError::Io(e.to_string()))?,
+        );
+        let s = Arc::clone(&shared);
+        threads.push(
+            std::thread::Builder::new()
+                .name("fleet-monitor".into())
+                .spawn(move || monitor_loop(&s))
+                .map_err(|e| ServeError::Io(e.to_string()))?,
+        );
+        drop(threads);
         Ok(fleet)
     }
 
@@ -767,188 +230,56 @@ impl FleetCoordinator {
     ///
     /// [`SubmitError`] with the HTTP-facing rejection reason.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        let s = &self.shared;
-        if s.draining.load(Ordering::SeqCst) {
-            return Err(SubmitError::Draining);
-        }
-        let board = spec.resolve_board().map_err(SubmitError::Invalid)?;
-        spec.requests(&board).map_err(SubmitError::Invalid)?;
-
-        let id = s.next_id.fetch_add(1, Ordering::SeqCst);
-        let priority = spec.priority;
-        let fp = spec_fingerprint(&spec);
-        let deadline_ms = spec.deadline_ms.or(s.config.default_deadline_ms);
-
-        // Journal before queueing — accepted means crash-survivable.
-        if let Err(e) = journal_admit(s, id, fp, &spec, deadline_ms) {
-            return Err(SubmitError::Journal(e));
-        }
-
-        lock_inner(s)
-            .jobs
-            .insert(id, FleetJob::queued(id, spec, fp, deadline_ms, false));
-
-        match s.queue.admit(id, priority) {
-            Ok(Admitted::Queued) => {}
-            Ok(Admitted::Shed { victim }) => {
-                telemetry::counter!("fleet.sheds");
-                finalize(
-                    s,
-                    victim,
-                    JobState::Shed,
-                    Some("shed by higher-priority arrival".into()),
-                );
-            }
-            Err(_) => {
-                // Rejected: tombstone the admit line so a restart never
-                // resurrects a job the client was told was refused.
-                {
-                    let mut inner = lock_inner(s);
-                    inner.jobs.remove(&id);
-                }
-                journal_done(s, id, fp, "rejected");
-                s.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter!("fleet.rejected");
-                let retry_after_ms = s.config.backoff.delay_ms(id, 0);
-                return Err(if s.draining.load(Ordering::SeqCst) {
-                    SubmitError::Draining
-                } else {
-                    SubmitError::Saturated { retry_after_ms }
-                });
-            }
-        }
-        s.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter!("fleet.accepted");
-        Ok(id)
+        self.shared.core.submit(spec)
     }
 
     /// The snapshot of one job, if known.
     pub fn status(&self, id: u64) -> Option<JobSnapshot> {
-        let inner = lock_inner(&self.shared);
-        inner.jobs.get(&id).map(FleetJob::snapshot)
+        self.shared.core.status(id)
     }
 
     /// Snapshots of every known job, ordered by id.
     pub fn jobs(&self) -> Vec<JobSnapshot> {
-        let inner = lock_inner(&self.shared);
-        let mut out: Vec<JobSnapshot> = inner.jobs.values().map(FleetJob::snapshot).collect();
-        out.sort_by_key(|j| j.id);
-        out
+        self.shared.core.jobs()
     }
 
-    /// Cancels a *queued* job. Jobs already out under a lease cannot be
-    /// cancelled cross-process (there is no preemption frame — by
-    /// design, a leased job either finishes or its worker dies);
-    /// `false` for those, for unknown ids, and for terminal jobs.
+    /// Cancels a job no worker holds yet. Jobs already out under a
+    /// lease cannot be cancelled cross-process (there is no preemption
+    /// frame — by design, a leased job either finishes or its worker
+    /// dies); `false` for those, for unknown ids, and for terminal jobs.
     pub fn cancel(&self, id: u64) -> bool {
-        let s = &self.shared;
-        {
-            let inner = lock_inner(s);
-            match inner.jobs.get(&id) {
-                Some(rec) if !rec.state.is_terminal() && rec.lease.is_none() => {}
-                _ => return false,
-            }
-        }
-        if s.queue.remove(id) {
-            finalize(
-                s,
-                id,
-                JobState::Cancelled,
-                Some("cancelled while queued".into()),
-            );
-            return true;
-        }
-        false
+        self.shared.core.cancel(id)
     }
 
     /// Current readiness: `Draining` once a drain began (the fleet
     /// `/readyz` turns 503), `Overloaded` past the queue watermark.
     pub fn ready(&self) -> Readiness {
-        let s = &self.shared;
-        if s.draining.load(Ordering::SeqCst) {
-            return Readiness::Draining;
-        }
-        let cap = s.queue.capacity().max(1);
-        let watermark = (s.config.overload_watermark.clamp(0.0, 1.0) * cap as f64).ceil() as usize;
-        if s.queue.len() >= watermark.max(1) {
-            Readiness::Overloaded
-        } else {
-            Readiness::Ready
-        }
+        self.shared.core.ready()
     }
 
     /// The per-job event bus feeding `GET /jobs/:id/events`. Worker
     /// progress frames are republished here, so a fleet-backed stream
     /// looks identical to an in-process one.
     pub fn events(&self) -> Arc<EventBus> {
-        Arc::clone(&self.shared.bus)
+        Arc::clone(&self.shared.core.bus)
     }
 
     /// Current counters and latency percentiles.
-    pub fn metrics(&self) -> FleetMetrics {
-        let s = &self.shared;
-        let c = &s.counters;
-        let (workers_live, leased) = {
-            let inner = lock_inner(s);
-            (
-                inner
-                    .workers
-                    .iter()
-                    .filter(|w| w.state != SlotState::Dead)
-                    .count(),
-                inner.jobs.values().filter(|j| j.lease.is_some()).count(),
-            )
-        };
-        let (p50, p99, lat_sum) = {
-            let lat = s.latencies.lock().unwrap_or_else(|e| e.into_inner());
-            let (p50, p99) = percentiles(&lat);
-            (p50, p99, lat.iter().sum())
-        };
-        let (qw50, qw99, qw_count, qw_sum) = {
-            let qw = s.queue_waits.lock().unwrap_or_else(|e| e.into_inner());
-            let (p50, p99) = percentiles(&qw);
-            (p50, p99, qw.len() as u64, qw.iter().sum())
-        };
-        FleetMetrics {
+    pub fn metrics(&self) -> ServiceMetrics {
+        let workers_live = lock_workers(&self.shared)
+            .iter()
+            .filter(|w| w.state != SlotState::Dead)
+            .count();
+        ServiceMetrics {
             workers_live,
-            workers_spawned: c.workers_spawned.load(Ordering::Relaxed),
-            workers_dead: c.workers_dead.load(Ordering::Relaxed),
-            worker_restarts: c.worker_restarts.load(Ordering::Relaxed),
-            queue_depth: s.queue.len(),
-            leased,
-            accepted: c.accepted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            best_so_far: c.best_so_far.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            expired: c.expired.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            redispatches: c.redispatches.load(Ordering::Relaxed),
-            stale_finalizes: c.stale_finalizes.load(Ordering::Relaxed),
-            recovered: c.recovered.load(Ordering::Relaxed),
-            journal_duplicates: c.journal_duplicates.load(Ordering::Relaxed),
-            terminal_violations: c.terminal_violations.load(Ordering::Relaxed),
-            latency_p50_ms: p50,
-            latency_p99_ms: p99,
-            uptime_seconds: s.started.elapsed().as_secs_f64(),
-            events_published: s.bus.events_published(),
-            events_dropped: s.bus.events_dropped(),
-            queue_wait_p50_ms: qw50,
-            queue_wait_p99_ms: qw99,
-            queue_wait_count: qw_count,
-            queue_wait_sum_ms: qw_sum,
-            latency_sum_ms: lat_sum,
+            ..self.shared.core.metrics()
         }
     }
 
     /// OS pids of the workers currently considered live — the handles
     /// the process-level chaos tests aim real `SIGKILL`/`SIGSTOP` at.
     pub fn worker_pids(&self) -> Vec<u32> {
-        let inner = lock_inner(&self.shared);
-        inner
-            .workers
+        lock_workers(&self.shared)
             .iter()
             .filter(|w| w.state != SlotState::Dead)
             .map(|w| w.pid)
@@ -958,25 +289,7 @@ impl FleetCoordinator {
     /// Blocks until every accepted job is terminal or the timeout
     /// passes. `true` when idle was reached.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.is_idle() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return self.is_idle();
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        let s = &self.shared;
-        if !s.queue.is_empty() {
-            return false;
-        }
-        let inner = lock_inner(s);
-        inner.jobs.values().all(|r| r.state.is_terminal())
+        self.shared.core.wait_idle(timeout)
     }
 
     /// Graceful drain (the SIGTERM path): stop admitting and leasing,
@@ -986,14 +299,10 @@ impl FleetCoordinator {
     /// `true` when every lease finished in time.
     pub fn drain(&self, timeout: Duration) -> bool {
         let s = &self.shared;
-        s.draining.store(true, Ordering::SeqCst);
+        s.core.draining.store(true, Ordering::SeqCst);
         let deadline = Instant::now() + timeout;
         let drained = loop {
-            let outstanding = {
-                let inner = lock_inner(s);
-                inner.jobs.values().filter(|j| j.lease.is_some()).count()
-            };
-            if outstanding == 0 {
+            if s.core.leased() == 0 {
                 break true;
             }
             if Instant::now() >= deadline {
@@ -1004,18 +313,15 @@ impl FleetCoordinator {
 
         // Ask workers to exit, then close their stdin so even a worker
         // that misses the frame sees EOF.
-        {
-            let mut inner = lock_inner(s);
-            for w in inner.workers.iter_mut() {
-                if let Some(stdin) = &mut w.stdin {
-                    let _ = writeln!(stdin, "{}", CoordFrame::Drain.to_json());
-                    let _ = stdin.flush();
-                }
-                w.stdin = None;
+        for w in lock_workers(s).iter_mut() {
+            if let Some(stdin) = &mut w.stdin {
+                let _ = writeln!(stdin, "{}", CoordFrame::Drain.to_json());
+                let _ = stdin.flush();
             }
+            w.stdin = None;
         }
         self.reap_all(Duration::from_secs(10));
-        s.queue.close();
+        s.core.queue.close();
         self.join_threads();
         drained
     }
@@ -1027,18 +333,15 @@ impl FleetCoordinator {
     /// directory finishes the surviving jobs.
     pub fn shutdown_abrupt(&self) {
         let s = &self.shared;
-        s.draining.store(true, Ordering::SeqCst);
-        {
-            let mut inner = lock_inner(s);
-            for w in inner.workers.iter_mut() {
-                w.stdin = None;
-                if let Some(child) = &mut w.child {
-                    let _ = child.kill();
-                }
+        s.core.draining.store(true, Ordering::SeqCst);
+        for w in lock_workers(s).iter_mut() {
+            w.stdin = None;
+            if let Some(child) = &mut w.child {
+                let _ = child.kill();
             }
         }
         self.reap_all(Duration::from_secs(5));
-        s.queue.close();
+        s.core.queue.close();
         self.join_threads();
     }
 
@@ -1047,22 +350,17 @@ impl FleetCoordinator {
         loop {
             let mut alive = false;
             {
-                let mut inner = lock_inner(&self.shared);
-                for w in inner.workers.iter_mut() {
+                let mut workers = lock_workers(&self.shared);
+                for w in workers.iter_mut() {
                     if let Some(child) = &mut w.child {
                         match child.try_wait() {
-                            Ok(Some(_)) => {
-                                w.child = None;
-                            }
                             Ok(None) => alive = true,
-                            Err(_) => {
-                                w.child = None;
-                            }
+                            Ok(Some(_)) | Err(_) => w.child = None,
                         }
                     }
                 }
                 if alive && Instant::now() >= deadline {
-                    for w in inner.workers.iter_mut() {
+                    for w in workers.iter_mut() {
                         if let Some(child) = &mut w.child {
                             let _ = child.kill();
                             let _ = child.wait();
@@ -1089,127 +387,29 @@ impl FleetCoordinator {
 
 impl Drop for FleetCoordinator {
     fn drop(&mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        {
-            let mut inner = lock_inner(&self.shared);
-            for w in inner.workers.iter_mut() {
-                w.stdin = None;
-                if let Some(child) = &mut w.child {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    w.child = None;
-                }
+        self.shared.core.draining.store(true, Ordering::SeqCst);
+        for w in lock_workers(&self.shared).iter_mut() {
+            w.stdin = None;
+            if let Some(child) = &mut w.child {
+                let _ = child.kill();
+                let _ = child.wait();
+                w.child = None;
             }
         }
-        self.shared.queue.close();
+        self.shared.core.queue.close();
         self.join_threads();
     }
 }
 
-fn lock_inner(s: &Shared) -> std::sync::MutexGuard<'_, Inner> {
-    s.inner.lock().unwrap_or_else(|e| e.into_inner())
+fn lock_workers(s: &Shared) -> std::sync::MutexGuard<'_, Vec<WorkerSlot>> {
+    s.workers.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-// ---- journal writes ----------------------------------------------------
-
-fn journal_admit(
-    s: &Shared,
-    id: u64,
-    fp: u64,
-    spec: &JobSpec,
-    deadline_ms: Option<f64>,
-) -> Result<(), String> {
-    let mut journal = s.journal.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(file) = journal.as_mut() else {
-        return Ok(());
-    };
-    let mut o = Obj::new();
-    o.str("kind", "admit")
-        .u64("id", id)
-        .str("fp", &format!("{fp:016x}"))
-        .raw("spec", &spec.to_json());
-    if let Some(d) = deadline_ms {
-        o.f64("deadline_ms", d);
-    }
-    writeln!(file, "{}", o.finish())
-        .and_then(|_| file.flush())
-        .map_err(|e| e.to_string())
-}
-
-fn journal_done(s: &Shared, id: u64, fp: u64, state: &str) {
-    let mut journal = s.journal.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(file) = journal.as_mut() {
-        let mut o = Obj::new();
-        o.str("kind", "done")
-            .u64("id", id)
-            .str("fp", &format!("{fp:016x}"))
-            .str("state", state);
-        let _ = writeln!(file, "{}", o.finish());
-        let _ = file.flush();
-    }
-}
-
-// ---- terminal transition -----------------------------------------------
-
-/// The single terminal transition: in-memory exactly-once guard, one
-/// terminal counter, one journal record, checkpoint cleanup.
-fn finalize(s: &Shared, id: u64, state: JobState, error: Option<String>) {
-    debug_assert!(state.is_terminal());
-    let (latency_ms, fp, terminal_error) = {
-        let mut inner = lock_inner(s);
-        let Some(rec) = inner.jobs.get_mut(&id) else {
-            return;
-        };
-        rec.terminal_transitions += 1;
-        if rec.terminal_transitions > 1 {
-            s.counters
-                .terminal_violations
-                .fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("fleet.terminal_violations");
-            return;
-        }
-        rec.state = state;
-        rec.lease = None;
-        if rec.error.is_none() {
-            rec.error = error;
-        }
-        (
-            rec.submitted.elapsed().as_secs_f64() * 1e3,
-            rec.fp,
-            rec.error.clone(),
-        )
-    };
-
-    let counter = match state {
-        JobState::Completed => &s.counters.completed,
-        JobState::BestSoFar => &s.counters.best_so_far,
-        JobState::Failed => &s.counters.failed,
-        JobState::Shed => &s.counters.shed,
-        JobState::Expired => &s.counters.expired,
-        JobState::Cancelled => &s.counters.cancelled,
-        JobState::Queued | JobState::Running => return,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    telemetry::point("fleet_job_terminal")
-        .field("job", id)
-        .field("state", state.name())
-        .field("latency_ms", latency_ms)
-        .emit();
-    // Exactly one Terminal event per job: guarded by the same
-    // terminal_transitions check a zombie finalize cannot pass.
-    s.bus.publish(id, EventKind::Terminal, |o| {
-        o.str("state", state.name()).f64("latency_ms", latency_ms);
-        if let Some(e) = &terminal_error {
-            o.str("error", e);
-        }
-    });
-    {
-        let mut lat = s.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        lat.push(latency_ms);
-    }
-    journal_done(s, id, fp, state.name());
-    if let Some(dir) = &s.config.data_dir {
-        let _ = std::fs::remove_file(dir.join(format!("ckpt-{id}")));
+/// Refreshes worker `w`'s liveness clock unless it was declared dead.
+fn beat(s: &Shared, w: usize) {
+    let mut workers = lock_workers(s);
+    if workers[w].state != SlotState::Dead {
+        workers[w].last_beat = Instant::now();
     }
 }
 
@@ -1248,27 +448,30 @@ fn spawn_worker(s: &Arc<Shared>) -> std::io::Result<JoinHandle<()>> {
     let pid = child.id();
 
     let w = {
-        let mut inner = lock_inner(s);
+        let mut workers = lock_workers(s);
         // `drain` raises the flag before it closes every registered
         // worker's stdin under this lock. A replacement that passed
         // `worker_died`'s unlocked check but registers after that must
         // not keep its pipe open: it would never see EOF, and drain
         // would wait out its reap timeout.
-        let stdin = if s.draining.load(Ordering::SeqCst) {
+        let stdin = if s.core.draining.load(Ordering::SeqCst) {
             None
         } else {
             stdin
         };
-        inner.workers.push(WorkerSlot {
+        workers.push(WorkerSlot {
             child: Some(child),
             stdin,
             pid,
             state: SlotState::Idle,
             last_beat: Instant::now(),
         });
-        inner.workers.len() - 1
+        workers.len() - 1
     };
-    s.counters.workers_spawned.fetch_add(1, Ordering::Relaxed);
+    s.core
+        .counters
+        .workers_spawned
+        .fetch_add(1, Ordering::Relaxed);
     telemetry::counter!("fleet.workers_spawned");
 
     let shared = Arc::clone(s);
@@ -1289,13 +492,7 @@ fn reader_loop(s: &Arc<Shared>, w: usize, stdout: std::process::ChildStdout) {
             continue;
         };
         match frame {
-            WorkerFrame::Hello { .. } | WorkerFrame::Heartbeat { .. } => {
-                let mut inner = lock_inner(s);
-                let slot = &mut inner.workers[w];
-                if slot.state != SlotState::Dead {
-                    slot.last_beat = Instant::now();
-                }
-            }
+            WorkerFrame::Hello { .. } | WorkerFrame::Heartbeat { .. } => beat(s, w),
             WorkerFrame::Progress {
                 job,
                 lease,
@@ -1306,59 +503,73 @@ fn reader_loop(s: &Arc<Shared>, w: usize, stdout: std::process::ChildStdout) {
                 elapsed_ms,
                 solve_ms,
             } => {
-                let publish = {
-                    let mut inner = lock_inner(s);
-                    if inner.workers[w].state != SlotState::Dead {
-                        inner.workers[w].last_beat = Instant::now();
-                    }
-                    match inner.jobs.get_mut(&job) {
-                        // Only the current lease publishes: a zombie
-                        // worker's frames must not pollute the stream.
-                        Some(rec) if rec.lease == Some((lease, w)) => {
-                            rec.rails_complete = rec.rails_complete.max(rails_complete);
-                            Some((rec.rails_complete, rec.rails_total))
-                        }
-                        _ => None,
-                    }
+                beat(s, w);
+                // Only the current lease publishes: a zombie worker's
+                // frames must not pollute the stream.
+                let publish = s.core.with_record(job, |rec| {
+                    (rec.lease == Some((lease, w))).then(|| {
+                        rec.rails_complete = rec.rails_complete.max(rails_complete);
+                        (rec.rails_complete, rec.rails_total)
+                    })
+                });
+                let Some(Some((rails_done, rails_total))) = publish else {
+                    continue;
                 };
-                if let Some((rails_done, rails_total)) = publish {
-                    if stage == "wave" {
-                        s.bus.publish(job, EventKind::Progress, |o| {
-                            o.u64("wave", wave as u64)
-                                .u64("waves", waves as u64)
-                                .u64("rails_complete", rails_done as u64)
-                                .u64("rails_total", rails_total as u64)
-                                .f64("elapsed_ms", elapsed_ms)
-                                .f64("solve_ms", solve_ms);
-                        });
-                    } else {
-                        s.bus.publish(job, EventKind::Stage, |o| {
-                            o.str("stage", &stage).f64("elapsed_ms", elapsed_ms);
-                        });
-                    }
+                if stage == "wave" {
+                    s.core.bus.publish(job, EventKind::Progress, |o| {
+                        o.u64("wave", wave as u64)
+                            .u64("waves", waves as u64)
+                            .u64("rails_complete", rails_done as u64)
+                            .u64("rails_total", rails_total as u64)
+                            .f64("elapsed_ms", elapsed_ms)
+                            .f64("solve_ms", solve_ms);
+                    });
+                } else {
+                    s.core.bus.publish(job, EventKind::Stage, |o| {
+                        o.str("stage", &stage).f64("elapsed_ms", elapsed_ms);
+                    });
                 }
             }
-            WorkerFrame::Done(done) => handle_done(s, w, done),
+            WorkerFrame::Done(done) => {
+                // Free the slot if this frame settles the lease it
+                // holds — even a stale done means the worker finished
+                // *something*. Only the current lease may settle the
+                // job; the core counts everything else as stale.
+                {
+                    let mut workers = lock_workers(s);
+                    let slot = &mut workers[w];
+                    if slot.state != SlotState::Dead {
+                        slot.last_beat = Instant::now();
+                    }
+                    if slot.state
+                        == (SlotState::Leased {
+                            job: done.job,
+                            lease: done.lease,
+                        })
+                    {
+                        slot.state = SlotState::Idle;
+                    }
+                }
+                s.core.settle(done.job, Some((done.lease, w)), &done);
+            }
         }
     }
     // EOF: the worker process is gone (exit, SIGKILL, or drain).
     worker_died(s, w, "worker pipe closed");
-    let child = {
-        let mut inner = lock_inner(s);
-        inner.workers[w].child.take()
-    };
+    let child = lock_workers(s)[w].child.take();
     if let Some(mut c) = child {
         let _ = c.wait();
     }
 }
 
 /// Declares worker `w` dead (idempotent): expires its lease so the job
-/// re-enters the queue with backoff, optionally SIGKILLs the process,
-/// and spawns a replacement while the restart budget lasts.
+/// re-enters the queue with backoff (or fails once the budget is
+/// spent), optionally SIGKILLs the process, and spawns a replacement
+/// while the restart budget lasts.
 fn worker_died(s: &Arc<Shared>, w: usize, why: &str) {
     let expired_lease = {
-        let mut inner = lock_inner(s);
-        let slot = &mut inner.workers[w];
+        let mut workers = lock_workers(s);
+        let slot = &mut workers[w];
         if slot.state == SlotState::Dead {
             return;
         }
@@ -1375,10 +586,11 @@ fn worker_died(s: &Arc<Shared>, w: usize, why: &str) {
         }
         lease
     };
+    let draining = s.core.draining.load(Ordering::SeqCst);
     // A worker exiting cleanly after the Drain frame is retirement, not
     // death — don't let graceful shutdown inflate the fault counters.
-    if !s.draining.load(Ordering::SeqCst) || expired_lease.is_some() {
-        s.counters.workers_dead.fetch_add(1, Ordering::Relaxed);
+    if !draining || expired_lease.is_some() {
+        s.core.counters.workers_dead.fetch_add(1, Ordering::Relaxed);
         telemetry::point("fleet_worker_dead")
             .field("worker", w)
             .field("why", why)
@@ -1386,187 +598,35 @@ fn worker_died(s: &Arc<Shared>, w: usize, why: &str) {
     }
 
     if let Some((job, lease)) = expired_lease {
-        expire_lease(s, job, lease, w);
+        s.core.retry(job, Some((lease, w)), Retry::WorkerDied);
     }
 
     // Supervision: replace the dead worker while the budget lasts. The
     // replacement's reader thread is detached — it exits on its pipe's
     // EOF, and shutdown reaps the child itself.
-    if !s.draining.load(Ordering::SeqCst) {
-        let restarts = s.counters.worker_restarts.load(Ordering::Relaxed);
-        if (restarts as usize) < s.config.max_worker_restarts {
-            s.counters.worker_restarts.fetch_add(1, Ordering::Relaxed);
-            match spawn_worker(s) {
-                Ok(handle) => drop(handle),
-                Err(_) => telemetry::counter!("fleet.respawn_failed"),
-            }
+    let restarts = &s.core.counters.worker_restarts;
+    if !draining && (restarts.load(Ordering::Relaxed) as usize) < s.config.max_worker_restarts {
+        restarts.fetch_add(1, Ordering::Relaxed);
+        match spawn_worker(s) {
+            Ok(handle) => drop(handle),
+            Err(_) => telemetry::counter!("fleet.respawn_failed"),
         }
     }
-}
-
-/// Expires the lease `(job, lease)` held by dead worker `w`: the job
-/// re-enters the queue (attempt bumped, seeded backoff) or fails
-/// terminally once the retry budget is spent.
-fn expire_lease(s: &Arc<Shared>, job: u64, lease: u64, w: usize) {
-    let next = {
-        let mut inner = lock_inner(s);
-        let Some(rec) = inner.jobs.get_mut(&job) else {
-            return;
-        };
-        if rec.state.is_terminal() || rec.lease != Some((lease, w)) {
-            return;
-        }
-        rec.lease = None;
-        rec.state = JobState::Queued;
-        if rec.attempts <= s.config.max_job_retries {
-            Some((rec.priority, rec.attempts))
-        } else {
-            None
-        }
-    };
-    s.counters.redispatches.fetch_add(1, Ordering::Relaxed);
-    telemetry::counter!("fleet.redispatches");
-    match next {
-        Some((priority, attempts)) => {
-            let delay = s
-                .config
-                .backoff
-                .delay_ms(job, attempts.saturating_sub(1) as u32);
-            s.bus.publish(job, EventKind::Retry, |o| {
-                o.str("reason", "worker_died")
-                    .u64("attempt", attempts as u64)
-                    .f64("backoff_ms", delay);
-            });
-            s.queue.reenter(
-                job,
-                priority,
-                attempts,
-                Duration::from_secs_f64(delay / 1e3),
-            );
-        }
-        None => finalize(
-            s,
-            job,
-            JobState::Failed,
-            Some("worker died and the re-dispatch budget is exhausted".into()),
-        ),
-    }
-}
-
-/// Handles a `done` frame from worker `w`. Only the current lease may
-/// finalize; everything else is a defeated double-finalize attempt.
-fn handle_done(s: &Arc<Shared>, w: usize, done: DoneFrame) {
-    let decision = {
-        let mut inner = lock_inner(s);
-        if inner.workers[w].state != SlotState::Dead {
-            inner.workers[w].last_beat = Instant::now();
-        }
-        // Free the slot if this frame settles the lease it holds —
-        // even a stale done means the worker finished *something*.
-        if inner.workers[w].state
-            == (SlotState::Leased {
-                job: done.job,
-                lease: done.lease,
-            })
-        {
-            inner.workers[w].state = SlotState::Idle;
-        }
-        let Some(rec) = inner.jobs.get_mut(&done.job) else {
-            s.counters.stale_finalizes.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        if rec.state.is_terminal() || rec.lease != Some((done.lease, w)) {
-            // Expired lease or already-terminal job: the revived-worker
-            // double finalize, rejected.
-            s.counters.stale_finalizes.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("fleet.stale_finalizes");
-            return;
-        }
-        rec.lease = None;
-        rec.run_ms += done.run_ms;
-        rec.rails_complete = rec.rails_complete.max(done.rails_complete);
-        rec.resumed += done.resumed;
-        rec.solves += done.solves;
-        rec.area_mm2 = done.area_mm2.max(rec.area_mm2);
-        let retry_ok =
-            done.retryable && done.state == "failed" && rec.attempts <= s.config.max_job_retries;
-        if retry_ok {
-            rec.state = JobState::Queued;
-            Decision::Retry(rec.priority, rec.attempts)
-        } else {
-            match done.state.as_str() {
-                "completed" => Decision::Final(JobState::Completed, None),
-                "expired" => {
-                    if done.rails_complete > 0 {
-                        Decision::Final(JobState::BestSoFar, done.error.clone())
-                    } else {
-                        Decision::Final(
-                            JobState::Expired,
-                            done.error
-                                .clone()
-                                .or_else(|| Some("deadline expired".into())),
-                        )
-                    }
-                }
-                _ => {
-                    if done.rails_complete > 0 {
-                        Decision::Final(JobState::BestSoFar, done.error.clone())
-                    } else {
-                        Decision::Final(
-                            JobState::Failed,
-                            done.error
-                                .clone()
-                                .or_else(|| Some("no rail completed".into())),
-                        )
-                    }
-                }
-            }
-        }
-    };
-    match decision {
-        Decision::Retry(priority, attempts) => {
-            s.counters.retries.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("fleet.retries");
-            let delay = s
-                .config
-                .backoff
-                .delay_ms(done.job, attempts.saturating_sub(1) as u32);
-            s.bus.publish(done.job, EventKind::Retry, |o| {
-                o.str("reason", "attempt_failed")
-                    .u64("attempt", attempts as u64)
-                    .f64("backoff_ms", delay);
-            });
-            s.queue.reenter(
-                done.job,
-                priority,
-                attempts,
-                Duration::from_secs_f64(delay / 1e3),
-            );
-        }
-        Decision::Final(state, error) => finalize(s, done.job, state, error),
-    }
-}
-
-enum Decision {
-    Retry(Priority, usize),
-    Final(JobState, Option<String>),
 }
 
 // ---- dispatcher --------------------------------------------------------
 
-fn idle_live_worker(inner: &Inner) -> Option<usize> {
-    inner
-        .workers
-        .iter()
-        .position(|w| w.state == SlotState::Idle)
+fn idle_live_worker(workers: &[WorkerSlot]) -> Option<usize> {
+    workers.iter().position(|w| w.state == SlotState::Idle)
 }
 
 fn dispatch_loop(s: &Arc<Shared>) {
+    let queue = &s.core.queue;
     loop {
-        if s.draining.load(Ordering::SeqCst) {
+        if s.core.draining.load(Ordering::SeqCst) {
             // Drain: stop leasing. Queued jobs stay journaled for the
             // next coordinator. Exit once the queue is closed.
-            match s.queue.pop(Duration::from_millis(20)) {
+            match queue.pop(Duration::from_millis(20)) {
                 Popped::Closed => return,
                 _ => continue,
             }
@@ -1574,26 +634,26 @@ fn dispatch_loop(s: &Arc<Shared>) {
 
         // Pop only when a lease could actually be granted: a popped
         // entry with no healthy worker would spin.
-        let has_idle = {
-            let inner = lock_inner(s);
-            idle_live_worker(&inner).is_some()
+        let (has_idle, all_dead) = {
+            let workers = lock_workers(s);
+            (
+                idle_live_worker(&workers).is_some(),
+                workers.iter().all(|w| w.state == SlotState::Dead),
+            )
         };
         if !has_idle {
             // All workers dead with the restart budget spent: fail
             // queued jobs with a typed error instead of leasing into
             // the void forever.
-            let fleet_lost = {
-                let inner = lock_inner(s);
-                inner.workers.iter().all(|w| w.state == SlotState::Dead)
-            } && s.counters.worker_restarts.load(Ordering::Relaxed) as usize
-                >= s.config.max_worker_restarts;
+            let fleet_lost = all_dead
+                && s.core.counters.worker_restarts.load(Ordering::Relaxed) as usize
+                    >= s.config.max_worker_restarts;
             if fleet_lost {
-                match s.queue.pop(Duration::from_millis(20)) {
+                match queue.pop(Duration::from_millis(20)) {
                     Popped::Closed => return,
                     Popped::Timeout => continue,
                     Popped::Entry(entry) => {
-                        finalize(
-                            s,
+                        s.core.finalize(
                             entry.id,
                             JobState::Failed,
                             Some("no live workers and the restart budget is exhausted".into()),
@@ -1606,7 +666,7 @@ fn dispatch_loop(s: &Arc<Shared>) {
             continue;
         }
 
-        match s.queue.pop(Duration::from_millis(20)) {
+        match queue.pop(Duration::from_millis(20)) {
             Popped::Closed => return,
             Popped::Timeout => continue,
             Popped::Entry(entry) => dispatch(s, entry),
@@ -1616,74 +676,46 @@ fn dispatch_loop(s: &Arc<Shared>) {
 
 fn dispatch(s: &Arc<Shared>, entry: QueueEntry) {
     let id = entry.id;
-    let mut inner = lock_inner(s);
-    // `drain` raises the flag before it counts outstanding leases under
-    // this lock, so re-check here: a dispatcher that passed the
-    // unlocked check in `dispatch_loop` must not lease into a drain.
-    // The job stays journaled for the next coordinator, as in the
-    // draining branch of `dispatch_loop`.
-    if s.draining.load(Ordering::SeqCst) {
+    let mut workers = lock_workers(s);
+    // `drain` raises the flag before it counts outstanding leases, so
+    // re-check under this lock: a dispatcher that passed the unlocked
+    // check in `dispatch_loop` must not lease into a drain. The job
+    // stays journaled for the next coordinator, as in the draining
+    // branch of `dispatch_loop`.
+    if s.core.draining.load(Ordering::SeqCst) {
         return;
     }
-    let lease = s.next_lease.fetch_add(1, Ordering::SeqCst);
-    let Some(w) = idle_live_worker(&inner) else {
+    let Some(w) = idle_live_worker(&workers) else {
         // The worker died between the check and the pop: requeue
         // without burning an attempt.
-        if let Some(rec) = inner.jobs.get(&id) {
-            if !rec.state.is_terminal() {
-                let priority = rec.priority;
-                drop(inner);
-                s.queue
-                    .reenter(id, priority, entry.attempt, Duration::from_millis(5));
-            }
-        }
+        drop(workers);
+        s.core.requeue(id, entry.attempt);
         return;
     };
-    let Some(rec) = inner.jobs.get_mut(&id) else {
+    let lease = s.next_lease.fetch_add(1, Ordering::SeqCst);
+    let Some(job) = s.core.start(&entry, Some((lease, w))) else {
         return;
     };
-    if rec.state.is_terminal() {
+    let deadline_ms = job.remaining_ms();
+    if deadline_ms.is_some_and(|d| d <= 0.0) {
+        drop(workers);
+        s.core.expire(id, &job);
         return;
     }
-    let elapsed_ms = rec.submitted.elapsed().as_secs_f64() * 1e3;
-    if let Some(d) = rec.deadline_ms {
-        if d - elapsed_ms <= 0.0 {
-            drop(inner);
-            finalize(
-                s,
-                id,
-                JobState::Expired,
-                Some(format!(
-                    "deadline of {d:.0} ms expired after {elapsed_ms:.0} ms in queue"
-                )),
-            );
-            return;
-        }
-    }
-    rec.state = JobState::Running;
-    rec.attempts = entry.attempt + 1;
-    rec.queue_ms = elapsed_ms - rec.run_ms;
-    {
-        let mut qw = s.queue_waits.lock().unwrap_or_else(|e| e.into_inner());
-        qw.push(rec.queue_ms.max(0.0));
-    }
-    telemetry::histogram!("fleet.queue_wait_ms", rec.queue_ms.max(0.0) as u64);
-    rec.lease = Some((lease, w));
-    let priority = rec.priority;
     let frame = CoordFrame::Lease {
         job: id,
         lease,
         attempt: entry.attempt,
-        spec: rec.spec.clone(),
-        deadline_ms: rec.deadline_ms.map(|d| d - elapsed_ms),
+        spec: job.spec,
+        deadline_ms,
         checkpoint: s
             .config
             .data_dir
             .as_ref()
             .map(|d| d.join(format!("ckpt-{id}")).to_string_lossy().into_owned()),
     };
-    inner.workers[w].state = SlotState::Leased { job: id, lease };
-    let ok = match inner.workers[w].stdin.as_mut() {
+    workers[w].state = SlotState::Leased { job: id, lease };
+    let ok = match workers[w].stdin.as_mut() {
         Some(stdin) => writeln!(stdin, "{}", frame.to_json())
             .and_then(|_| stdin.flush())
             .is_ok(),
@@ -1696,14 +728,9 @@ fn dispatch(s: &Arc<Shared>, entry: QueueEntry) {
     // The pipe is broken: the worker is dead. Roll the lease back (no
     // attempt burned), requeue, and let the death path clean the slot —
     // the slot keeps its Leased marker so worker_died stays idempotent,
-    // but the rolled-back record makes expire_lease a no-op.
-    if let Some(rec) = inner.jobs.get_mut(&id) {
-        rec.lease = None;
-        rec.state = JobState::Queued;
-    }
-    drop(inner);
-    s.queue
-        .reenter(id, priority, entry.attempt, Duration::from_millis(5));
+    // but the rolled-back record makes its retry a no-op.
+    drop(workers);
+    s.core.requeue(id, entry.attempt);
     worker_died(s, w, "lease write failed");
 }
 
@@ -1712,17 +739,13 @@ fn dispatch(s: &Arc<Shared>, entry: QueueEntry) {
 fn monitor_loop(s: &Arc<Shared>) {
     let timeout = Duration::from_millis(s.config.heartbeat_timeout_ms);
     let tick = Duration::from_millis((s.config.heartbeat_timeout_ms / 4).max(5));
-    while !s.draining.load(Ordering::SeqCst) {
-        let silent: Vec<usize> = {
-            let inner = lock_inner(s);
-            inner
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(_, w)| w.state != SlotState::Dead && w.last_beat.elapsed() > timeout)
-                .map(|(i, _)| i)
-                .collect()
-        };
+    while !s.core.draining.load(Ordering::SeqCst) {
+        let silent: Vec<usize> = lock_workers(s)
+            .iter()
+            .enumerate()
+            .filter(|(_, w)| w.state != SlotState::Dead && w.last_beat.elapsed() > timeout)
+            .map(|(i, _)| i)
+            .collect();
         for w in silent {
             worker_died(s, w, "heartbeat timeout");
         }
@@ -1764,6 +787,9 @@ pub fn sigterm_flag() -> &'static AtomicBool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::Priority;
+    use crate::proto::spec_fingerprint;
+    use sprout_telemetry::json::Obj;
 
     fn admit_line(id: u64, spec: &JobSpec) -> String {
         let mut o = Obj::new();
@@ -1838,37 +864,29 @@ mod tests {
     /// dispatch must neither lease nor declare the idle worker dead.
     #[test]
     fn dispatch_after_drain_began_leases_nothing() {
-        let s = Arc::new(Shared::new(FleetConfig::default(), None, 1));
-        let spec = JobSpec::two_rail(20.0);
-        let fp = spec_fingerprint(&spec);
-        {
-            let mut inner = lock_inner(&s);
-            inner.workers.push(WorkerSlot {
-                child: None,
-                stdin: None,
-                pid: 0,
-                state: SlotState::Idle,
-                last_beat: Instant::now(),
-            });
-            inner
-                .jobs
-                .insert(1, FleetJob::queued(1, spec, fp, None, false));
-        }
-        s.draining.store(true, Ordering::SeqCst);
+        let s = Arc::new(Shared::new(FleetConfig::default()).expect("core"));
+        lock_workers(&s).push(WorkerSlot {
+            child: None,
+            stdin: None,
+            pid: 0,
+            state: SlotState::Idle,
+            last_beat: Instant::now(),
+        });
+        let id = s.core.submit(JobSpec::two_rail(20.0)).expect("submit");
+        s.core.draining.store(true, Ordering::SeqCst);
         let entry = QueueEntry {
-            id: 1,
+            id,
             priority: Priority::Normal,
             seq: 0,
             ready_at: Instant::now(),
             attempt: 0,
         };
         dispatch(&s, entry);
-        let inner = lock_inner(&s);
-        let job = &inner.jobs[&1];
+        let job = s.core.status(id).expect("known");
         assert_eq!(job.state, JobState::Queued);
-        assert_eq!((job.lease, job.attempts), (None, 0));
-        assert_eq!(inner.workers[0].state, SlotState::Idle);
-        assert_eq!(s.counters.workers_dead.load(Ordering::SeqCst), 0);
+        assert_eq!((s.core.leased(), job.attempts), (0, 0));
+        assert_eq!(lock_workers(&s)[0].state, SlotState::Idle);
+        assert_eq!(s.core.counters.workers_dead.load(Ordering::SeqCst), 0);
     }
 
     /// The interleaving: `worker_died` passed its unlocked `draining`
@@ -1883,11 +901,11 @@ mod tests {
             worker_cmd: Some(std::env::current_exe().expect("test binary path")),
             ..FleetConfig::default()
         };
-        let s = Arc::new(Shared::new(config, None, 1));
-        s.draining.store(true, Ordering::SeqCst);
+        let s = Arc::new(Shared::new(config).expect("core"));
+        s.core.draining.store(true, Ordering::SeqCst);
         let reader = spawn_worker(&s).expect("spawn");
-        assert!(lock_inner(&s).workers[0].stdin.is_none());
+        assert!(lock_workers(&s)[0].stdin.is_none());
         reader.join().expect("reader thread");
-        assert_eq!(lock_inner(&s).workers[0].state, SlotState::Dead);
+        assert_eq!(lock_workers(&s)[0].state, SlotState::Dead);
     }
 }

@@ -218,7 +218,17 @@ impl JobSpec {
     /// A typed [`SpecError`] naming the offending construct. Never
     /// panics, whatever the input.
     pub fn parse(text: &str) -> Result<JobSpec, SpecError> {
-        let root = json::parse(text.trim()).map_err(SpecError::Json)?;
+        JobSpec::from_json(&json::parse(text.trim()).map_err(SpecError::Json)?)
+    }
+
+    /// Validates an already-parsed spec object — the journal and the
+    /// lease frame embed specs as nested JSON, so they hand the parsed
+    /// value over directly.
+    ///
+    /// # Errors
+    ///
+    /// A typed [`SpecError`], as for [`JobSpec::parse`].
+    pub fn from_json(root: &Json) -> Result<JobSpec, SpecError> {
         let board_obj = root.get("board").ok_or(SpecError::Field("board"))?;
         let preset = board_obj
             .get("preset")
@@ -369,6 +379,17 @@ impl JobSpec {
         }
     }
 
+    /// Materializes the board and resolves the rail list against it.
+    ///
+    /// # Errors
+    ///
+    /// As for [`JobSpec::resolve_board`] and [`JobSpec::requests`].
+    pub fn resolve(&self) -> Result<(Board, Vec<RailRequest>), SpecError> {
+        let board = self.resolve_board()?;
+        let requests = self.requests(&board)?;
+        Ok((board, requests))
+    }
+
     /// Resolves the rail list against `board` into supervisor requests.
     ///
     /// # Errors
@@ -415,6 +436,23 @@ impl JobState {
     /// `true` for the six terminal states.
     pub fn is_terminal(&self) -> bool {
         !matches!(self, JobState::Queued | JobState::Running)
+    }
+
+    /// Parses a wire name; `None` for anything else (the journal's
+    /// `rejected` tombstone among them).
+    pub fn parse(name: &str) -> Option<JobState> {
+        [
+            JobState::Queued,
+            JobState::Running,
+            JobState::Completed,
+            JobState::BestSoFar,
+            JobState::Failed,
+            JobState::Shed,
+            JobState::Expired,
+            JobState::Cancelled,
+        ]
+        .into_iter()
+        .find(|s| s.name() == name)
     }
 
     /// The wire name.

@@ -17,8 +17,9 @@
 //!   any machine and thread count, so chaos runs replay exactly.
 //! * **Crash recovery** — accepted jobs are journaled before they
 //!   queue; terminal states are journaled exactly once; a restarted
-//!   service re-admits unfinished jobs and resumes them from their
-//!   supervisor checkpoints.
+//!   service replays the journal ([`lifecycle::replay_journal`]),
+//!   re-admits unfinished jobs and resumes them from their supervisor
+//!   checkpoints.
 //! * **Graceful degradation** — past the overload watermark, attempts
 //!   run under the `BestSoFar` policy with tightened budgets, and
 //!   `/readyz` reports the pressure.
@@ -30,6 +31,12 @@
 //!   to clients as chunked NDJSON via `GET /jobs/<id>/events` or a
 //!   `?since=` long-poll; `/metrics` negotiates JSON or Prometheus
 //!   text exposition. Publishing never blocks the routing hot path.
+//! * **One job core** — [`lifecycle`] owns a job's life from admission
+//!   to its terminal state for both backends: one job table, one
+//!   retry path, one `settle` that classifies each attempt, one
+//!   exactly-once `finalize`, one append-only journal and one
+//!   [`service::ServiceMetrics`] type. The in-process service and the
+//!   fleet coordinator are thin executors over it.
 //! * **Fleet mode** — [`fleet::FleetCoordinator`] shards jobs across
 //!   worker *processes* ([`worker`], speaking the framed protocol of
 //!   [`proto`]) with heartbeat liveness, lease-based assignment,
@@ -56,6 +63,7 @@ pub mod events;
 pub mod fleet;
 pub mod http;
 pub mod job;
+pub mod lifecycle;
 pub mod proto;
 pub mod queue;
 pub mod service;
@@ -64,9 +72,10 @@ pub mod worker;
 pub use backoff::BackoffConfig;
 pub use chaos::{FleetFaultPlan, ServeFaultPlan};
 pub use events::{EventBus, EventKind, EventPage, JobEvent, JobRecorder};
-pub use fleet::{replay_journal, FleetConfig, FleetCoordinator, FleetMetrics, JournalReplay};
+pub use fleet::{FleetConfig, FleetCoordinator};
 pub use http::{HttpServer, JobBackend};
 pub use job::{JobSnapshot, JobSpec, JobState, Priority, SpecError};
+pub use lifecycle::{replay_journal, JournalReplay};
 pub use proto::{spec_fingerprint, CoordFrame, DoneFrame, ProtoError, WorkerFrame};
 pub use queue::{AdmitError, Admitted, BoundedQueue};
 pub use service::{

@@ -25,6 +25,8 @@
 
 use crate::job::JobSpec;
 use sprout_board::io::fnv1a64;
+use sprout_core::supervisor::{is_retryable, JobReport};
+use sprout_core::SproutError;
 use sprout_telemetry::json::{self, Json, Obj};
 use std::fmt;
 
@@ -67,16 +69,18 @@ pub fn spec_fingerprint(spec: &JobSpec) -> u64 {
     fnv1a64(spec.to_json().as_bytes())
 }
 
-/// Terminal outcome a worker reports for a leased job. The worker
-/// *classifies*; the coordinator *decides* (retry vs finalize), so the
-/// retry policy lives in exactly one process.
+/// The summary of one routing attempt: what a fleet worker reports for
+/// a leased job, and what the in-process service builds for its own
+/// attempts. The executor *classifies*; the shared job core *decides*
+/// (retry vs finalize), so the retry policy lives in one place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DoneFrame {
     /// Job id.
     pub job: u64,
-    /// The lease this run was performed under.
+    /// The lease this run was performed under (0 in-process).
     pub lease: u64,
-    /// Outcome hint: `completed`, `expired`, or `failed`.
+    /// Outcome hint: `completed`, `expired`, `cancelled` (every failed
+    /// rail was cancelled), or `failed`.
     pub state: String,
     /// Rails restored from the checkpoint instead of re-routed.
     pub resumed: usize,
@@ -94,6 +98,68 @@ pub struct DoneFrame {
     pub error: Option<String>,
     /// `true` when the failure class is worth re-dispatching.
     pub retryable: bool,
+}
+
+impl DoneFrame {
+    /// An attempt that failed before routing, with a typed error that
+    /// no retry can fix (an unresolvable board or rail list).
+    pub fn unroutable(job: u64, lease: u64, rails_total: usize, error: String) -> DoneFrame {
+        DoneFrame {
+            job,
+            lease,
+            state: "failed".into(),
+            resumed: 0,
+            rails_complete: 0,
+            rails_total,
+            area_mm2: 0.0,
+            solves: 0,
+            run_ms: 0.0,
+            error: Some(error),
+            retryable: false,
+        }
+    }
+
+    /// Summarizes a supervisor run that took `run_ms`.
+    pub fn from_report(job: u64, lease: u64, report: &JobReport, run_ms: f64) -> DoneFrame {
+        let mut done = DoneFrame {
+            job,
+            lease,
+            state: "completed".into(),
+            resumed: report.resumed,
+            rails_complete: report
+                .rails
+                .iter()
+                .filter(|r| r.outcome.is_complete())
+                .count(),
+            rails_total: report.rails.len(),
+            area_mm2: report.shapes().iter().map(|(_, _, sh)| sh.area_mm2()).sum(),
+            solves: report.results().map(|r| r.timings.solves as u64).sum(),
+            run_ms,
+            error: None,
+            retryable: false,
+        };
+        if report.is_complete() {
+            return done;
+        }
+        let (mut any_deadline, mut all_cancelled) = (false, true);
+        for (_, e) in report.failures() {
+            if done.error.is_none() {
+                done.error = Some(e.to_string());
+            }
+            done.retryable |= is_retryable(e);
+            any_deadline |= matches!(e, SproutError::DeadlineExpired { .. });
+            all_cancelled &= matches!(e, SproutError::Cancelled);
+        }
+        done.state = if done.error.is_some() && all_cancelled {
+            "cancelled"
+        } else if any_deadline {
+            "expired"
+        } else {
+            "failed"
+        }
+        .into();
+        done
+    }
 }
 
 /// A frame sent by a worker process.
@@ -311,12 +377,13 @@ impl CoordFrame {
         let ty = frame_type(&root)?;
         match ty.as_str() {
             "lease" => {
-                let spec_json = root
+                let spec = root
                     .get("spec")
-                    .map(crate::service::render_json)
-                    .ok_or(ProtoError::Field("spec"))?;
-                let spec = JobSpec::parse(&spec_json)
-                    .map_err(|e| ProtoError::Json(format!("embedded spec: {e}")))?;
+                    .ok_or(ProtoError::Field("spec"))
+                    .and_then(|v| {
+                        JobSpec::from_json(v)
+                            .map_err(|e| ProtoError::Json(format!("embedded spec: {e}")))
+                    })?;
                 Ok(CoordFrame::Lease {
                     job: need_u64(&root, "job")?,
                     lease: need_u64(&root, "lease")?,

@@ -3,8 +3,9 @@
 //! [`RoutingService`] fronts the supervisor with the robustness
 //! machinery a long-running deployment needs:
 //!
-//! * **Bounded admission** — jobs enter through a [`BoundedQueue`];
-//!   when it is full, [`RoutingService::submit`] either sheds a
+//! * **Bounded admission** — jobs enter through a
+//!   [`crate::queue::BoundedQueue`]; when it is full,
+//!   [`RoutingService::submit`] either sheds a
 //!   strictly-lower-priority queued job or rejects the arrival with a
 //!   retry-after hint. Accepted jobs are never silently dropped.
 //! * **Deadline propagation** — each job's wall-clock deadline is
@@ -16,14 +17,19 @@
 //!   is kept between attempts so completed rails restore instead of
 //!   re-routing.
 //! * **Crash recovery** — every accepted job is journaled to the data
-//!   directory before it is queued; a terminal record is journaled
-//!   (with `create_new`, so a double finalize cannot go unnoticed)
-//!   when it finishes. A restarted service re-admits every journaled
-//!   job without a terminal record and resumes it from its supervisor
-//!   checkpoint.
+//!   directory before it is queued, and its terminal state is journaled
+//!   once when it finishes. A restarted service replays the journal,
+//!   re-admits every job without a terminal record and resumes it from
+//!   its supervisor checkpoint.
 //! * **Graceful degradation** — under queue pressure jobs run with the
 //!   `BestSoFar` recovery policy and a tightened wall budget: a partial
 //!   result beats a timed-out queue.
+//!
+//! Admission, the job table, retries, terminal classification and the
+//! journal are the shared [`crate::lifecycle`] core; this module is the
+//! in-process executor: worker threads, the `catch_unwind` boundary,
+//! cancel tokens, per-attempt profiles and reports, and the mid-job
+//! kill simulation.
 //!
 //! The invariant everything above serves, asserted by the chaos suite:
 //! **every accepted job reaches exactly one terminal state, and the
@@ -32,19 +38,20 @@
 use crate::backoff::BackoffConfig;
 use crate::chaos::ServeFaultPlan;
 use crate::events::{EventBus, EventKind, JobRecorder};
-use crate::job::{JobSnapshot, JobSpec, JobState, Priority, SpecError};
-use crate::queue::{Admitted, BoundedQueue, Popped, QueueEntry};
-use sprout_core::recovery::{CancelToken, RecoveryPolicy};
+use crate::job::{JobSnapshot, JobSpec, JobState, SpecError};
+use crate::lifecycle::{CoreConfig, JobCore, Retry};
+use crate::proto::DoneFrame;
+use crate::queue::{Popped, QueueEntry};
+use sprout_core::recovery::RecoveryPolicy;
 use sprout_core::report::RunReport;
 use sprout_core::router::RouterConfig;
-use sprout_core::supervisor::{is_retryable, Supervisor, SupervisorConfig};
-use sprout_core::SproutError;
+use sprout_core::supervisor::{Supervisor, SupervisorConfig};
 use sprout_telemetry::{self as telemetry, json::Obj};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -180,13 +187,22 @@ impl Readiness {
     }
 }
 
-/// A point-in-time snapshot of the service counters.
+/// A point-in-time snapshot of a backend's counters — the `/metrics`
+/// payload of the in-process service and of fleet mode alike, so a
+/// scrape sees the same field names against either. A field that does
+/// not apply to a backend reads 0: `running`, `killed` and
+/// `worker_panics` count in-process threads; `workers_*`, `leased`,
+/// `redispatches` and `stale_finalizes` count fleet worker processes.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceMetrics {
     /// Jobs waiting in the queue (retry delays included).
     pub queue_depth: usize,
-    /// Jobs currently routing.
+    /// Jobs currently routing on an in-process worker thread.
     pub running: usize,
+    /// Jobs out under a worker-process lease.
+    pub leased: usize,
+    /// Worker processes alive (heartbeating or within their timeout).
+    pub workers_live: usize,
     /// Jobs accepted since start (recovered jobs included).
     pub accepted: u64,
     /// Submissions rejected with backpressure.
@@ -203,37 +219,36 @@ pub struct ServiceMetrics {
     pub expired: u64,
     /// Terminal: cancelled.
     pub cancelled: u64,
-    /// Service-level retries performed.
+    /// Attempts re-queued after a worker panic or a retryable failure.
     pub retries: u64,
-    /// Jobs re-admitted by crash recovery.
+    /// Leases expired by worker-process death and re-dispatched.
+    pub redispatches: u64,
+    /// Attempt summaries rejected for an expired lease or an
+    /// already-terminal job — the double-finalize attempts defeated.
+    pub stale_finalizes: u64,
+    /// Jobs re-admitted by journal replay at start.
     pub recovered: u64,
-    /// Workers "killed" mid-job by the fault plan.
+    /// Duplicate/conflicting journal records ignored during replay.
+    pub journal_duplicates: u64,
+    /// In-process workers "killed" mid-job by the fault plan.
     pub killed: u64,
-    /// Worker panics contained by the service boundary.
+    /// In-process worker panics contained by the service boundary.
     pub worker_panics: u64,
     /// Jobs observed in more than one terminal state — always 0 unless
     /// the exactly-once invariant broke.
     pub terminal_violations: u64,
+    /// Worker processes spawned since start (initial + replacements).
+    pub workers_spawned: u64,
+    /// Worker processes declared dead.
+    pub workers_dead: u64,
+    /// Replacement worker processes spawned after a death.
+    pub worker_restarts: u64,
     /// Median admission→terminal latency (ms) over terminal jobs.
     pub latency_p50_ms: f64,
     /// 99th-percentile admission→terminal latency (ms).
     pub latency_p99_ms: f64,
-    /// Worker *processes* alive — always 0 for the in-process service;
-    /// populated by fleet mode. Emitted so `/metrics` scrapes the same
-    /// field names against either backend.
-    pub workers_live: usize,
-    /// Jobs out under a process lease — always 0 for the in-process
-    /// service.
-    pub leased: usize,
-    /// Leases expired by worker death and re-dispatched — always 0 for
-    /// the in-process service.
-    pub redispatches: u64,
-    /// Seconds since the service started.
-    pub uptime_seconds: f64,
-    /// Events published on the per-job observability bus.
-    pub events_published: u64,
-    /// Bus events dropped to drop-oldest backpressure.
-    pub events_dropped: u64,
+    /// Sum of terminal latencies (ms) — the Prometheus `_sum`.
+    pub latency_sum_ms: f64,
     /// Median admission→start queue wait (ms) over started attempts.
     pub queue_wait_p50_ms: f64,
     /// 99th-percentile admission→start queue wait (ms).
@@ -242,39 +257,86 @@ pub struct ServiceMetrics {
     pub queue_wait_count: u64,
     /// Sum of measured queue waits (ms) — the Prometheus `_sum`.
     pub queue_wait_sum_ms: f64,
-    /// Sum of terminal latencies (ms) — the Prometheus `_sum`.
-    pub latency_sum_ms: f64,
+    /// Seconds since the backend started.
+    pub uptime_seconds: f64,
+    /// Events published on the per-job observability bus.
+    pub events_published: u64,
+    /// Bus events dropped to drop-oldest backpressure.
+    pub events_dropped: u64,
 }
 
 impl ServiceMetrics {
+    /// The plain counters, as `(name, help, value)`, in `/metrics`
+    /// order. Both encodings render from this one list.
+    fn counters(&self) -> [(&'static str, &'static str, u64); 19] {
+        [
+            ("accepted", "jobs accepted", self.accepted),
+            ("rejected", "submissions rejected", self.rejected),
+            ("completed", "jobs completed", self.completed),
+            ("best_so_far", "partial results shipped", self.best_so_far),
+            ("failed", "jobs failed", self.failed),
+            ("shed", "jobs shed under saturation", self.shed),
+            ("expired", "jobs past their deadline", self.expired),
+            ("cancelled", "jobs cancelled", self.cancelled),
+            ("retries", "attempts retried", self.retries),
+            ("redispatches", "leases re-dispatched", self.redispatches),
+            (
+                "stale_finalizes",
+                "double-finalize attempts defeated",
+                self.stale_finalizes,
+            ),
+            ("recovered", "jobs re-admitted by recovery", self.recovered),
+            (
+                "journal_duplicates",
+                "duplicate journal records ignored",
+                self.journal_duplicates,
+            ),
+            ("killed", "workers killed mid-job", self.killed),
+            (
+                "worker_panics",
+                "worker panics contained",
+                self.worker_panics,
+            ),
+            (
+                "terminal_violations",
+                "exactly-once violations (must stay 0)",
+                self.terminal_violations,
+            ),
+            (
+                "workers_spawned",
+                "worker processes spawned",
+                self.workers_spawned,
+            ),
+            (
+                "workers_dead",
+                "worker processes declared dead",
+                self.workers_dead,
+            ),
+            (
+                "worker_restarts",
+                "replacement worker processes spawned",
+                self.worker_restarts,
+            ),
+        ]
+    }
+
     /// One JSON line (the `/metrics` body).
     pub fn to_json(&self) -> String {
         let mut o = Obj::new();
         o.u64("queue_depth", self.queue_depth as u64)
             .u64("running", self.running as u64)
-            .u64("accepted", self.accepted)
-            .u64("rejected", self.rejected)
-            .u64("completed", self.completed)
-            .u64("best_so_far", self.best_so_far)
-            .u64("failed", self.failed)
-            .u64("shed", self.shed)
-            .u64("expired", self.expired)
-            .u64("cancelled", self.cancelled)
-            .u64("retries", self.retries)
-            .u64("recovered", self.recovered)
-            .u64("killed", self.killed)
-            .u64("worker_panics", self.worker_panics)
-            .u64("terminal_violations", self.terminal_violations)
-            .f64("latency_p50_ms", self.latency_p50_ms)
-            .f64("latency_p99_ms", self.latency_p99_ms)
-            .u64("workers_live", self.workers_live as u64)
             .u64("leased", self.leased as u64)
-            .u64("redispatches", self.redispatches)
+            .u64("workers_live", self.workers_live as u64);
+        for (name, _, v) in self.counters() {
+            o.u64(name, v);
+        }
+        o.f64("latency_p50_ms", self.latency_p50_ms)
+            .f64("latency_p99_ms", self.latency_p99_ms)
+            .f64("queue_wait_p50_ms", self.queue_wait_p50_ms)
+            .f64("queue_wait_p99_ms", self.queue_wait_p99_ms)
             .f64("uptime_seconds", self.uptime_seconds)
             .u64("events_published", self.events_published)
-            .u64("events_dropped", self.events_dropped)
-            .f64("queue_wait_p50_ms", self.queue_wait_p50_ms)
-            .f64("queue_wait_p99_ms", self.queue_wait_p99_ms);
+            .u64("events_dropped", self.events_dropped);
         o.finish()
     }
 
@@ -292,59 +354,24 @@ impl ServiceMetrics {
         )
         .gauge(&n("running"), "jobs currently routing", self.running as f64)
         .gauge(
-            &n("workers_live"),
-            "worker processes alive",
-            self.workers_live as f64,
-        )
-        .gauge(
             &n("leased"),
             "jobs out under a process lease",
             self.leased as f64,
         )
         .gauge(
+            &n("workers_live"),
+            "worker processes alive",
+            self.workers_live as f64,
+        )
+        .gauge(
             &n("uptime_seconds"),
             "seconds since service start",
             self.uptime_seconds,
-        )
-        .counter(&n("accepted_total"), "jobs accepted", self.accepted)
-        .counter(&n("rejected_total"), "submissions rejected", self.rejected)
-        .counter(&n("completed_total"), "jobs completed", self.completed)
-        .counter(
-            &n("best_so_far_total"),
-            "partial results shipped",
-            self.best_so_far,
-        )
-        .counter(&n("failed_total"), "jobs failed", self.failed)
-        .counter(&n("shed_total"), "jobs shed under saturation", self.shed)
-        .counter(
-            &n("expired_total"),
-            "jobs past their deadline",
-            self.expired,
-        )
-        .counter(&n("cancelled_total"), "jobs cancelled", self.cancelled)
-        .counter(&n("retries_total"), "service-level retries", self.retries)
-        .counter(
-            &n("recovered_total"),
-            "jobs re-admitted by recovery",
-            self.recovered,
-        )
-        .counter(&n("killed_total"), "workers killed mid-job", self.killed)
-        .counter(
-            &n("worker_panics_total"),
-            "worker panics contained",
-            self.worker_panics,
-        )
-        .counter(
-            &n("terminal_violations_total"),
-            "exactly-once violations (must stay 0)",
-            self.terminal_violations,
-        )
-        .counter(
-            &n("redispatches_total"),
-            "leases re-dispatched",
-            self.redispatches,
-        )
-        .counter(
+        );
+        for (name, help, v) in self.counters() {
+            p.counter(&n(&format!("{name}_total")), help, v);
+        }
+        p.counter(
             &n("events_published_total"),
             "observability events published",
             self.events_published,
@@ -358,7 +385,12 @@ impl ServiceMetrics {
             &n("latency_ms"),
             "admission to terminal latency (ms)",
             &[(0.5, self.latency_p50_ms), (0.99, self.latency_p99_ms)],
-            self.terminal_total(),
+            self.completed
+                + self.best_so_far
+                + self.failed
+                + self.shed
+                + self.expired
+                + self.cancelled,
             self.latency_sum_ms,
         )
         .summary(
@@ -377,91 +409,14 @@ impl ServiceMetrics {
         p.registry("sprout_", telemetry::metrics::global());
         p.finish()
     }
-
-    fn terminal_total(&self) -> u64 {
-        self.completed + self.best_so_far + self.failed + self.shed + self.expired + self.cancelled
-    }
-}
-
-/// One job's full record, owned by the service.
-#[derive(Debug)]
-struct JobRecord {
-    id: u64,
-    spec: JobSpec,
-    state: JobState,
-    priority: Priority,
-    attempts: usize,
-    submitted: Instant,
-    deadline_ms: Option<f64>,
-    queue_ms: f64,
-    run_ms: f64,
-    rails_total: usize,
-    rails_complete: usize,
-    resumed: usize,
-    recovered: bool,
-    killed: bool,
-    cancel_requested: bool,
-    cancel: CancelToken,
-    solves: u64,
-    area_mm2: f64,
-    error: Option<String>,
-    terminal_transitions: usize,
-}
-
-impl JobRecord {
-    fn snapshot(&self) -> JobSnapshot {
-        JobSnapshot {
-            id: self.id,
-            tag: self.spec.tag.clone(),
-            state: self.state,
-            priority: self.priority,
-            attempts: self.attempts,
-            rails_total: self.rails_total,
-            rails_complete: self.rails_complete,
-            resumed: self.resumed,
-            recovered: self.recovered,
-            killed: self.killed,
-            queue_ms: self.queue_ms,
-            run_ms: self.run_ms,
-            solves: self.solves,
-            area_mm2: self.area_mm2,
-            error: self.error.clone(),
-            terminal_transitions: self.terminal_transitions,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    best_so_far: AtomicU64,
-    failed: AtomicU64,
-    shed: AtomicU64,
-    expired: AtomicU64,
-    cancelled: AtomicU64,
-    retries: AtomicU64,
-    recovered: AtomicU64,
-    killed: AtomicU64,
-    worker_panics: AtomicU64,
-    terminal_violations: AtomicU64,
 }
 
 #[derive(Debug)]
 struct Shared {
     config: ServiceConfig,
-    queue: BoundedQueue,
-    jobs: Mutex<HashMap<u64, JobRecord>>,
-    next_id: AtomicU64,
-    draining: AtomicBool,
+    core: JobCore,
     running: AtomicUsize,
-    counters: Counters,
-    latencies: Mutex<Vec<f64>>,
-    queue_waits: Mutex<Vec<f64>>,
     reports: Mutex<Vec<RunReport>>,
-    started: Instant,
-    bus: Arc<EventBus>,
     // Latest attempt's performance profile per job, served over
     // `GET /jobs/<id>/profile`. Rendered JSON, bounded by job count.
     profiles: Mutex<HashMap<u64, String>>,
@@ -477,9 +432,9 @@ pub struct RoutingService {
 }
 
 impl RoutingService {
-    /// Starts the service: prepares the data directory, re-admits every
-    /// journaled job without a terminal record (crash recovery), and
-    /// spawns the worker pool.
+    /// Starts the service: prepares the data directory, replays its
+    /// journal (re-admitting every job without a terminal record —
+    /// crash recovery), and spawns the worker pool.
     ///
     /// # Errors
     ///
@@ -491,21 +446,18 @@ impl RoutingService {
                 "a service needs at least one worker or a queue",
             ));
         }
-        if let Some(dir) = &config.data_dir {
-            std::fs::create_dir_all(dir).map_err(|e| ServeError::Io(e.to_string()))?;
-        }
+        let core = JobCore::open(CoreConfig {
+            queue_capacity: config.queue_capacity,
+            max_job_retries: config.max_job_retries,
+            backoff: config.backoff,
+            default_deadline_ms: config.default_deadline_ms,
+            overload_watermark: config.overload_watermark,
+            data_dir: config.data_dir.clone(),
+        })?;
         let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            jobs: Mutex::new(HashMap::new()),
-            next_id: AtomicU64::new(1),
-            draining: AtomicBool::new(false),
+            core,
             running: AtomicUsize::new(0),
-            counters: Counters::default(),
-            latencies: Mutex::new(Vec::new()),
-            queue_waits: Mutex::new(Vec::new()),
             reports: Mutex::new(Vec::new()),
-            started: Instant::now(),
-            bus: Arc::new(EventBus::default()),
             profiles: Mutex::new(HashMap::new()),
             config,
         });
@@ -514,8 +466,6 @@ impl RoutingService {
             shared: Arc::clone(&shared),
             workers: Mutex::new(Vec::new()),
         };
-        service.recover_journal()?;
-
         let recorder = telemetry::current();
         let mut workers = service.workers.lock().unwrap_or_else(|e| e.into_inner());
         for w in 0..shared.config.workers {
@@ -543,97 +493,17 @@ impl RoutingService {
     ///
     /// [`SubmitError`] with the HTTP-facing rejection reason.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        let s = &self.shared;
-        if s.draining.load(Ordering::SeqCst) {
-            return Err(SubmitError::Draining);
-        }
-        // Validate the board reference and rail list up front: an
-        // unresolvable job must be rejected, not accepted-then-failed.
-        let board = spec.resolve_board().map_err(SubmitError::Invalid)?;
-        spec.requests(&board).map_err(SubmitError::Invalid)?;
-
-        let id = s.next_id.fetch_add(1, Ordering::SeqCst);
-        let priority = spec.priority;
-        let deadline_ms = spec.deadline_ms.or(s.config.default_deadline_ms);
-        let record = JobRecord {
-            id,
-            rails_total: spec.rails.len(),
-            spec,
-            state: JobState::Queued,
-            priority,
-            attempts: 0,
-            submitted: Instant::now(),
-            deadline_ms,
-            queue_ms: 0.0,
-            run_ms: 0.0,
-            rails_complete: 0,
-            resumed: 0,
-            recovered: false,
-            killed: false,
-            cancel_requested: false,
-            cancel: CancelToken::new(),
-            solves: 0,
-            area_mm2: 0.0,
-            error: None,
-            terminal_transitions: 0,
-        };
-
-        // Journal before queueing: a job is "accepted" only once it
-        // would survive a crash.
-        if let Err(e) = self.journal_admit(&record) {
-            return Err(SubmitError::Journal(e));
-        }
-
-        {
-            let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            jobs.insert(id, record);
-        }
-
-        match s.queue.admit(id, priority) {
-            Ok(Admitted::Queued) => {}
-            Ok(Admitted::Shed { victim }) => {
-                telemetry::counter!("serve.sheds");
-                self.finalize_external(
-                    victim,
-                    JobState::Shed,
-                    Some("shed by higher-priority arrival".into()),
-                );
-            }
-            Err(_) => {
-                // Rejected: roll the journal and record back — the job
-                // was never accepted.
-                let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-                jobs.remove(&id);
-                drop(jobs);
-                self.journal_remove(id);
-                s.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                telemetry::counter!("serve.rejected");
-                let retry_after_ms = s.config.backoff.delay_ms(id, 0);
-                return Err(if s.draining.load(Ordering::SeqCst) {
-                    SubmitError::Draining
-                } else {
-                    SubmitError::Saturated { retry_after_ms }
-                });
-            }
-        }
-        s.counters.accepted.fetch_add(1, Ordering::Relaxed);
-        telemetry::counter!("serve.accepted");
-        telemetry::gauge!("serve.queue_depth", s.queue.len() as i64);
-        Ok(id)
+        self.shared.core.submit(spec)
     }
 
     /// The snapshot of one job, if known.
     pub fn status(&self, id: u64) -> Option<JobSnapshot> {
-        let jobs = self.shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.get(&id).map(JobRecord::snapshot)
+        self.shared.core.status(id)
     }
 
     /// Snapshots of every known job, ordered by id.
     pub fn jobs(&self) -> Vec<JobSnapshot> {
-        let jobs = self.shared.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        let mut out: Vec<JobSnapshot> = jobs.values().map(JobRecord::snapshot).collect();
-        out.sort_by_key(|j| j.id);
-        out
+        self.shared.core.jobs()
     }
 
     /// Cancels a job: queued jobs finalize immediately; running jobs
@@ -641,45 +511,17 @@ impl RoutingService {
     /// supervisor yields. `false` when the id is unknown or already
     /// terminal.
     pub fn cancel(&self, id: u64) -> bool {
-        let s = &self.shared;
-        let token = {
-            let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            let Some(rec) = jobs.get_mut(&id) else {
-                return false;
-            };
-            if rec.state.is_terminal() {
-                return false;
-            }
-            rec.cancel_requested = true;
-            rec.cancel.clone()
-        };
-        token.cancel();
-        if s.queue.remove(id) {
-            self.finalize_external(
-                id,
-                JobState::Cancelled,
-                Some("cancelled while queued".into()),
-            );
-        }
-        true
+        self.shared.core.cancel(id)
     }
 
     /// Current health/readiness.
     pub fn ready(&self) -> Readiness {
-        let s = &self.shared;
-        if s.draining.load(Ordering::SeqCst) {
-            return Readiness::Draining;
-        }
-        if overloaded(s) {
-            Readiness::Overloaded
-        } else {
-            Readiness::Ready
-        }
+        self.shared.core.ready()
     }
 
     /// The per-job event bus feeding `GET /jobs/:id/events`.
     pub fn events(&self) -> Arc<EventBus> {
-        Arc::clone(&self.shared.bus)
+        Arc::clone(&self.shared.core.bus)
     }
 
     /// The latest attempt's performance profile for `id` (rendered
@@ -697,47 +539,9 @@ impl RoutingService {
 
     /// Current counters and latency percentiles.
     pub fn metrics(&self) -> ServiceMetrics {
-        let s = &self.shared;
-        let c = &s.counters;
-        let (p50, p99, lat_sum) = {
-            let lat = s.latencies.lock().unwrap_or_else(|e| e.into_inner());
-            let (p50, p99) = percentiles(&lat);
-            (p50, p99, lat.iter().sum())
-        };
-        let (qw50, qw99, qw_count, qw_sum) = {
-            let qw = s.queue_waits.lock().unwrap_or_else(|e| e.into_inner());
-            let (p50, p99) = percentiles(&qw);
-            (p50, p99, qw.len() as u64, qw.iter().sum())
-        };
         ServiceMetrics {
-            queue_depth: s.queue.len(),
-            running: s.running.load(Ordering::SeqCst),
-            accepted: c.accepted.load(Ordering::Relaxed),
-            rejected: c.rejected.load(Ordering::Relaxed),
-            completed: c.completed.load(Ordering::Relaxed),
-            best_so_far: c.best_so_far.load(Ordering::Relaxed),
-            failed: c.failed.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            expired: c.expired.load(Ordering::Relaxed),
-            cancelled: c.cancelled.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            recovered: c.recovered.load(Ordering::Relaxed),
-            killed: c.killed.load(Ordering::Relaxed),
-            worker_panics: c.worker_panics.load(Ordering::Relaxed),
-            terminal_violations: c.terminal_violations.load(Ordering::Relaxed),
-            latency_p50_ms: p50,
-            latency_p99_ms: p99,
-            workers_live: 0,
-            leased: 0,
-            redispatches: 0,
-            uptime_seconds: s.started.elapsed().as_secs_f64(),
-            events_published: s.bus.events_published(),
-            events_dropped: s.bus.events_dropped(),
-            queue_wait_p50_ms: qw50,
-            queue_wait_p99_ms: qw99,
-            queue_wait_count: qw_count,
-            queue_wait_sum_ms: qw_sum,
-            latency_sum_ms: lat_sum,
+            running: self.shared.running.load(Ordering::SeqCst),
+            ..self.shared.core.metrics()
         }
     }
 
@@ -745,52 +549,28 @@ impl RoutingService {
     /// only a restart can finish — are excluded) or the timeout passes.
     /// `true` when idle was reached.
     pub fn wait_idle(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.is_idle() {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return self.is_idle();
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-
-    fn is_idle(&self) -> bool {
-        let s = &self.shared;
-        if !s.queue.is_empty() || s.running.load(Ordering::SeqCst) > 0 {
-            return false;
-        }
-        let jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.values().all(|r| r.state.is_terminal() || r.killed)
+        self.shared.core.wait_idle(timeout)
     }
 
     /// Stops the service. With `drain` the queue is emptied by the
     /// workers first; without it, queued jobs are finalized as
-    /// cancelled (their journals stay, so a later service instance
-    /// could still recover them — cancelled is terminal, though, so the
-    /// terminal record prevents that). Killed jobs are left
-    /// non-terminal on purpose: only a restart may finish them.
+    /// cancelled. Killed jobs are left non-terminal on purpose: only a
+    /// restart may finish them.
     pub fn shutdown(&self, drain: bool) {
-        let s = &self.shared;
-        s.draining.store(true, Ordering::SeqCst);
+        let core = &self.shared.core;
+        core.draining.store(true, Ordering::SeqCst);
         if drain {
-            s.queue.close();
+            core.queue.close();
         } else {
-            let dropped = s.queue.close_and_clear();
-            for entry in dropped {
-                self.finalize_external(
+            for entry in core.queue.close_and_clear() {
+                core.finalize(
                     entry.id,
                     JobState::Cancelled,
                     Some("service shut down before the job ran".into()),
                 );
             }
         }
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-        for h in workers.drain(..) {
-            let _ = h.join();
-        }
+        self.join_workers();
     }
 
     /// Takes the retained per-attempt [`RunReport`]s (empty unless
@@ -804,126 +584,7 @@ impl RoutingService {
         std::mem::take(&mut *reports)
     }
 
-    // ---- journal -------------------------------------------------------
-
-    fn journal_admit(&self, record: &JobRecord) -> Result<(), String> {
-        let Some(dir) = &self.shared.config.data_dir else {
-            return Ok(());
-        };
-        let mut o = Obj::new();
-        o.u64("id", record.id).raw("spec", &record.spec.to_json());
-        if let Some(d) = record.deadline_ms {
-            o.f64("deadline_ms", d);
-        }
-        let body = o.finish();
-        let tmp = dir.join(format!("job-{}.tmp", record.id));
-        let path = dir.join(format!("job-{}.json", record.id));
-        std::fs::write(&tmp, body).map_err(|e| e.to_string())?;
-        std::fs::rename(&tmp, &path).map_err(|e| e.to_string())
-    }
-
-    fn journal_remove(&self, id: u64) {
-        if let Some(dir) = &self.shared.config.data_dir {
-            let _ = std::fs::remove_file(dir.join(format!("job-{id}.json")));
-        }
-    }
-
-    /// Re-admits journaled jobs that never reached a terminal record.
-    fn recover_journal(&self) -> Result<(), ServeError> {
-        let s = &self.shared;
-        let Some(dir) = s.config.data_dir.clone() else {
-            return Ok(());
-        };
-        let entries = std::fs::read_dir(&dir).map_err(|e| ServeError::Io(e.to_string()))?;
-        let mut max_id = 0u64;
-        let mut pending: Vec<(u64, JobSpec, Option<f64>)> = Vec::new();
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(id) = name
-                .strip_prefix("job-")
-                .and_then(|r| r.strip_suffix(".json"))
-                .and_then(|r| r.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            max_id = max_id.max(id);
-            if dir.join(format!("done-{id}.json")).exists() {
-                continue;
-            }
-            // A journal this service cannot parse is a warning, not a
-            // crash: log and move on.
-            let Ok(text) = std::fs::read_to_string(entry.path()) else {
-                continue;
-            };
-            let Ok(root) = sprout_telemetry::json::parse(&text) else {
-                telemetry::counter!("serve.journal_unreadable");
-                continue;
-            };
-            let spec_json = match root.get("spec") {
-                Some(v) => render_json(v),
-                None => continue,
-            };
-            let Ok(spec) = JobSpec::parse(&spec_json) else {
-                telemetry::counter!("serve.journal_unreadable");
-                continue;
-            };
-            let deadline = root.get("deadline_ms").and_then(|v| v.as_f64());
-            pending.push((id, spec, deadline));
-        }
-        s.next_id.store(max_id + 1, Ordering::SeqCst);
-        pending.sort_by_key(|(id, _, _)| *id);
-        for (id, spec, deadline_ms) in pending {
-            let priority = spec.priority;
-            let record = JobRecord {
-                id,
-                rails_total: spec.rails.len(),
-                spec,
-                state: JobState::Queued,
-                priority,
-                attempts: 0,
-                // The original admission clock died with the original
-                // process; a recovered job's deadline restarts here.
-                submitted: Instant::now(),
-                deadline_ms,
-                queue_ms: 0.0,
-                run_ms: 0.0,
-                rails_complete: 0,
-                resumed: 0,
-                recovered: true,
-                killed: false,
-                cancel_requested: false,
-                cancel: CancelToken::new(),
-                solves: 0,
-                area_mm2: 0.0,
-                error: None,
-                terminal_transitions: 0,
-            };
-            {
-                let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-                jobs.insert(id, record);
-            }
-            s.counters.accepted.fetch_add(1, Ordering::Relaxed);
-            s.counters.recovered.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("serve.recovered");
-            s.queue.reenter(id, priority, 0, Duration::ZERO);
-        }
-        Ok(())
-    }
-
-    /// Finalizes a job that is not currently owned by a worker (shed
-    /// victims, cancelled-while-queued, non-drain shutdown).
-    fn finalize_external(&self, id: u64, state: JobState, error: Option<String>) {
-        finalize(&self.shared, id, state, error, 0.0);
-    }
-}
-
-impl Drop for RoutingService {
-    fn drop(&mut self) {
-        // A dropped service stops accepting and drains workers; jobs
-        // still queued stay journaled for the next instance.
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue.close();
+    fn join_workers(&self) {
         let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
         for h in workers.drain(..) {
             let _ = h.join();
@@ -931,154 +592,50 @@ impl Drop for RoutingService {
     }
 }
 
-fn overloaded(s: &Shared) -> bool {
-    let cap = s.queue.capacity().max(1);
-    let watermark = (s.config.overload_watermark.clamp(0.0, 1.0) * cap as f64).ceil() as usize;
-    s.queue.len() >= watermark.max(1)
-}
-
-/// Renders a parsed [`sprout_telemetry::json::Json`] back to text —
-/// the journal embeds the spec as a nested object and `JobSpec::parse`
-/// wants the text form. Shared with the fleet journal and protocol,
-/// which embed specs the same way.
-pub(crate) fn render_json(v: &sprout_telemetry::json::Json) -> String {
-    use sprout_telemetry::json::{array, escape_into, fmt_f64, Json};
-    match v {
-        Json::Null => "null".into(),
-        Json::Bool(b) => (if *b { "true" } else { "false" }).into(),
-        Json::Num(n) => {
-            let mut s = String::new();
-            fmt_f64(&mut s, *n);
-            s
-        }
-        Json::Str(s) => {
-            let mut out = String::from("\"");
-            escape_into(&mut out, s);
-            out.push('"');
-            out
-        }
-        Json::Arr(items) => array(items.iter().map(render_json)),
-        Json::Obj(members) => {
-            let mut o = Obj::new();
-            for (k, v) in members {
-                o.raw(k, &render_json(v));
-            }
-            o.finish()
-        }
+impl Drop for RoutingService {
+    fn drop(&mut self) {
+        // A dropped service stops accepting and drains workers; jobs
+        // still queued stay journaled for the next instance.
+        self.shared.core.draining.store(true, Ordering::SeqCst);
+        self.shared.core.queue.close();
+        self.join_workers();
     }
-}
-
-pub(crate) fn percentiles(latencies: &[f64]) -> (f64, f64) {
-    if latencies.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mut sorted = latencies.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let pick = |q: f64| {
-        let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-        sorted[idx.min(sorted.len() - 1)]
-    };
-    (pick(0.50), pick(0.99))
 }
 
 // ---- worker side -------------------------------------------------------
 
 fn worker_loop(s: &Arc<Shared>) {
     loop {
-        match s.queue.pop(Duration::from_millis(50)) {
+        match s.core.queue.pop(Duration::from_millis(50)) {
             Popped::Closed => break,
             Popped::Timeout => continue,
             Popped::Entry(entry) => {
                 s.running.fetch_add(1, Ordering::SeqCst);
                 // The worker's own panic boundary: whatever run_one
                 // does — including injected panics — the loop survives
-                // and the job gets a typed outcome.
+                // and the job gets a typed outcome, exactly as the
+                // supervisor does for rail panics.
                 let id = entry.id;
-                let attempt = entry.attempt;
-                let result = catch_unwind(AssertUnwindSafe(|| run_one(s, entry)));
-                if result.is_err() {
-                    s.counters.worker_panics.fetch_add(1, Ordering::Relaxed);
+                if catch_unwind(AssertUnwindSafe(|| run_one(s, entry))).is_err() {
+                    s.core
+                        .counters
+                        .worker_panics
+                        .fetch_add(1, Ordering::Relaxed);
                     telemetry::counter!("serve.worker_panics");
-                    handle_worker_panic(s, id, attempt);
+                    s.core.retry(id, None, Retry::WorkerPanic);
                 }
                 s.running.fetch_sub(1, Ordering::SeqCst);
-                telemetry::gauge!("serve.queue_depth", s.queue.len() as i64);
+                telemetry::gauge!("serve.queue_depth", s.core.queue.len() as i64);
             }
         }
-    }
-}
-
-/// A worker panicked while holding job `id`: convert to a retryable
-/// typed error, exactly as the supervisor does for rail panics.
-fn handle_worker_panic(s: &Arc<Shared>, id: u64, attempt: usize) {
-    let retry = {
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        match jobs.get_mut(&id) {
-            Some(rec) if !rec.state.is_terminal() => {
-                rec.attempts = rec.attempts.max(attempt + 1);
-                if rec.attempts <= s.config.max_job_retries && !rec.cancel_requested {
-                    rec.state = JobState::Queued;
-                    Some((rec.priority, rec.attempts))
-                } else {
-                    None
-                }
-            }
-            _ => return,
-        }
-    };
-    match retry {
-        Some((priority, attempts)) => {
-            s.counters.retries.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("serve.retries");
-            let delay = s.config.backoff.delay_ms(id, (attempts - 1) as u32);
-            s.bus.publish(id, EventKind::Retry, |o| {
-                o.str("reason", "worker_panic")
-                    .u64("attempt", attempts as u64)
-                    .f64("backoff_ms", delay);
-            });
-            s.queue
-                .reenter(id, priority, attempts, Duration::from_secs_f64(delay / 1e3));
-        }
-        None => finalize(
-            s,
-            id,
-            JobState::Failed,
-            Some("worker panicked and the retry budget is exhausted".into()),
-            0.0,
-        ),
     }
 }
 
 fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
     let id = entry.id;
-    let (spec, cancel, deadline_ms, submitted, cancel_requested, queue_ms) = {
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(rec) = jobs.get_mut(&id) else { return };
-        if rec.state.is_terminal() {
-            return;
-        }
-        rec.state = JobState::Running;
-        rec.attempts = entry.attempt + 1;
-        rec.queue_ms = rec.submitted.elapsed().as_secs_f64() * 1e3 - rec.run_ms;
-        (
-            rec.spec.clone(),
-            rec.cancel.clone(),
-            rec.deadline_ms,
-            rec.submitted,
-            rec.cancel_requested,
-            rec.queue_ms,
-        )
-    };
-    {
-        let mut qw = s.queue_waits.lock().unwrap_or_else(|e| e.into_inner());
-        qw.push(queue_ms.max(0.0));
-    }
-    telemetry::histogram!("serve.queue_wait_ms", queue_ms.max(0.0) as u64);
-
-    if cancel_requested {
-        finalize(s, id, JobState::Cancelled, Some("cancelled".into()), 0.0);
+    let Some(job) = s.core.start(&entry, None) else {
         return;
-    }
+    };
 
     let fault = s.config.fault;
     if let Some(plan) = fault {
@@ -1095,32 +652,20 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
     }
 
     // Deadline check before spending any routing work.
-    let elapsed_ms = submitted.elapsed().as_secs_f64() * 1e3;
-    let remaining_ms = deadline_ms.map(|d| d - elapsed_ms);
-    if let Some(rem) = remaining_ms {
-        if rem <= 0.0 {
-            let e = SproutError::DeadlineExpired {
-                deadline_ms: deadline_ms.unwrap_or(0.0),
-                elapsed_ms,
-            };
-            finalize(s, id, JobState::Expired, Some(e.to_string()), 0.0);
-            return;
-        }
+    let remaining_ms = job.remaining_ms();
+    if remaining_ms.is_some_and(|rem| rem <= 0.0) {
+        s.core.expire(id, &job);
+        return;
     }
 
     // Board + requests were validated at submit; failures here are
     // internal and terminal.
-    let board = match spec.resolve_board() {
-        Ok(b) => b,
+    let spec = &job.spec;
+    let (board, requests) = match spec.resolve() {
+        Ok(resolved) => resolved,
         Err(e) => {
-            finalize(s, id, JobState::Failed, Some(e.to_string()), 0.0);
-            return;
-        }
-    };
-    let requests = match spec.requests(&board) {
-        Ok(r) => r,
-        Err(e) => {
-            finalize(s, id, JobState::Failed, Some(e.to_string()), 0.0);
+            let done = DoneFrame::unroutable(id, 0, spec.rails.len(), e.to_string());
+            s.core.settle(id, None, &done);
             return;
         }
     };
@@ -1131,8 +676,7 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
     }
     // Graceful degradation: under queue pressure, prefer shipping a
     // partial result within a tight budget over queue collapse.
-    let degraded = overloaded(s);
-    if degraded {
+    if s.core.overloaded() {
         router.recovery.policy = RecoveryPolicy::BestSoFar;
         if router.recovery.budget.wall_clock_ms > s.config.degraded_wall_ms {
             router.recovery.budget.wall_clock_ms = s.config.degraded_wall_ms;
@@ -1144,7 +688,7 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
     // Wave completions go straight onto the event bus; the hook runs on
     // the supervisor thread after the wave's checkpoint save, so it is
     // off the rail-routing hot path.
-    let wave_bus = Arc::clone(&s.bus);
+    let wave_bus = Arc::clone(&s.core.bus);
     let on_wave: sprout_core::supervisor::WaveHook = Arc::new(move |p| {
         wave_bus.publish(id, EventKind::Progress, |o| {
             o.u64("wave", p.wave as u64)
@@ -1164,7 +708,7 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
             .data_dir
             .as_ref()
             .map(|d| d.join(format!("ckpt-{id}"))),
-        cancel: cancel.clone(),
+        cancel: job.cancel.clone(),
         kill_after_wave: if killed { Some(0) } else { None },
         on_wave: Some(on_wave),
         ..SupervisorConfig::default()
@@ -1175,7 +719,7 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
     // this attempt flow onto the event bus with this job's id attached;
     // the recorder chains to whatever sink the host installed.
     let job_recorder = Arc::new(JobRecorder::new(
-        Arc::clone(&s.bus),
+        Arc::clone(&s.core.bus),
         id,
         telemetry::current(),
     ));
@@ -1218,222 +762,26 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
         reports.push(rr);
     }
 
-    // Harvest attempt results into the record before classification.
-    let rails_complete = report
-        .rails
-        .iter()
-        .filter(|r| r.outcome.is_complete())
-        .count();
-    let solves: u64 = report.results().map(|r| r.timings.solves as u64).sum();
-    let area: f64 = report.shapes().iter().map(|(_, _, sh)| sh.area_mm2()).sum();
-    {
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(rec) = jobs.get_mut(&id) {
-            rec.run_ms += run_ms;
-            rec.rails_complete = rails_complete;
-            rec.resumed += report.resumed;
-            rec.solves += solves;
-            rec.area_mm2 = area;
-        }
-    }
-
     if killed {
         // The "process died mid-job" simulation: the first wave's
-        // checkpoint is on disk, nothing is finalized, no terminal
-        // record is journaled. Only a restarted service finishes this
-        // job — recover_journal re-admits it and the supervisor resumes
-        // from the checkpoint.
-        s.counters.killed.fetch_add(1, Ordering::Relaxed);
+        // checkpoint is on disk, nothing is settled, no terminal record
+        // is journaled. Only a restarted service finishes this job —
+        // journal replay re-admits it and the supervisor resumes from
+        // the checkpoint.
+        s.core.counters.killed.fetch_add(1, Ordering::Relaxed);
         telemetry::counter!("serve.killed");
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(rec) = jobs.get_mut(&id) {
-            rec.killed = true;
-        }
+        s.core.with_record(id, |rec| rec.killed = true);
         return;
     }
 
-    if report.is_complete() {
-        finalize(s, id, JobState::Completed, None, run_ms);
-        return;
-    }
-
-    // Classify the first failure.
-    let cancel_requested = {
-        let jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.get(&id).is_some_and(|r| r.cancel_requested)
-    };
-    let mut first_error: Option<String> = None;
-    let mut any_retryable = false;
-    let mut all_cancelled = true;
-    let mut any_deadline = false;
-    for (_, e) in report.failures() {
-        if first_error.is_none() {
-            first_error = Some(e.to_string());
-        }
-        if is_retryable(e) {
-            any_retryable = true;
-        }
-        if !matches!(e, SproutError::Cancelled) {
-            all_cancelled = false;
-        }
-        if matches!(e, SproutError::DeadlineExpired { .. }) {
-            any_deadline = true;
-        }
-    }
-
-    if cancel_requested && all_cancelled {
-        finalize(s, id, JobState::Cancelled, Some("cancelled".into()), run_ms);
-        return;
-    }
-
-    let deadline_passed = deadline_ms.is_some_and(|d| submitted.elapsed().as_secs_f64() * 1e3 >= d);
-    if any_deadline || deadline_passed {
-        if rails_complete > 0 {
-            finalize(s, id, JobState::BestSoFar, first_error, run_ms);
-        } else {
-            finalize(
-                s,
-                id,
-                JobState::Expired,
-                first_error.or_else(|| Some("deadline expired".into())),
-                run_ms,
-            );
-        }
-        return;
-    }
-
-    // Retry: the checkpoint is kept, so completed rails restore on the
-    // next attempt instead of re-routing.
-    let attempts = entry.attempt + 1;
-    if any_retryable && attempts <= s.config.max_job_retries && !cancel_requested {
-        let priority = {
-            let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            match jobs.get_mut(&id) {
-                Some(rec) if !rec.state.is_terminal() => {
-                    rec.state = JobState::Queued;
-                    Some(rec.priority)
-                }
-                _ => None,
-            }
-        };
-        if let Some(priority) = priority {
-            s.counters.retries.fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("serve.retries");
-            let delay = s.config.backoff.delay_ms(id, (attempts - 1) as u32);
-            s.bus.publish(id, EventKind::Retry, |o| {
-                o.str("reason", "attempt_failed")
-                    .u64("attempt", attempts as u64)
-                    .f64("backoff_ms", delay);
-            });
-            s.queue
-                .reenter(id, priority, attempts, Duration::from_secs_f64(delay / 1e3));
-            return;
-        }
-    }
-
-    if rails_complete > 0 {
-        finalize(s, id, JobState::BestSoFar, first_error, run_ms);
-    } else {
-        finalize(
-            s,
-            id,
-            JobState::Failed,
-            first_error.or_else(|| Some("no rail completed".into())),
-            run_ms,
-        );
-    }
-}
-
-/// The single terminal transition. Updates the record, bumps exactly
-/// one terminal counter, journals the terminal record with
-/// `create_new` (a pre-existing record means a double finalize — the
-/// violation counter records it), and drops the job's checkpoint.
-fn finalize(s: &Arc<Shared>, id: u64, state: JobState, error: Option<String>, _run_ms: f64) {
-    debug_assert!(state.is_terminal());
-    let latency_ms = {
-        let mut jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        let Some(rec) = jobs.get_mut(&id) else { return };
-        rec.terminal_transitions += 1;
-        if rec.terminal_transitions > 1 {
-            s.counters
-                .terminal_violations
-                .fetch_add(1, Ordering::Relaxed);
-            telemetry::counter!("serve.terminal_violations");
-            return;
-        }
-        rec.state = state;
-        if rec.error.is_none() {
-            rec.error = error;
-        }
-        rec.submitted.elapsed().as_secs_f64() * 1e3
-    };
-
-    let counter = match state {
-        JobState::Completed => &s.counters.completed,
-        JobState::BestSoFar => &s.counters.best_so_far,
-        JobState::Failed => &s.counters.failed,
-        JobState::Shed => &s.counters.shed,
-        JobState::Expired => &s.counters.expired,
-        JobState::Cancelled => &s.counters.cancelled,
-        JobState::Queued | JobState::Running => return,
-    };
-    counter.fetch_add(1, Ordering::Relaxed);
-    telemetry::point("job_terminal")
-        .field("job", id)
-        .field("state", state.name())
-        .field("latency_ms", latency_ms)
-        .emit();
-    // Exactly one Terminal event per job: this runs only after the
-    // terminal_transitions guard above admitted the first transition.
-    let terminal_error = {
-        let jobs = s.jobs.lock().unwrap_or_else(|e| e.into_inner());
-        jobs.get(&id).and_then(|r| r.error.clone())
-    };
-    s.bus.publish(id, EventKind::Terminal, |o| {
-        o.str("state", state.name()).f64("latency_ms", latency_ms);
-        if let Some(e) = &terminal_error {
-            o.str("error", e);
-        }
-    });
-    {
-        let mut lat = s.latencies.lock().unwrap_or_else(|e| e.into_inner());
-        lat.push(latency_ms);
-    }
-
-    if let Some(dir) = &s.config.data_dir {
-        let mut o = Obj::new();
-        o.u64("id", id)
-            .str("state", state.name())
-            .f64("latency_ms", latency_ms);
-        let body = o.finish();
-        let path = dir.join(format!("done-{id}.json"));
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&path)
-        {
-            Ok(mut f) => {
-                use std::io::Write as _;
-                let _ = f.write_all(body.as_bytes());
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                // A terminal record already exists for this job: the
-                // exactly-once invariant broke across restarts.
-                s.counters
-                    .terminal_violations
-                    .fetch_add(1, Ordering::Relaxed);
-                telemetry::counter!("serve.terminal_violations");
-            }
-            Err(_) => {}
-        }
-        let _ = std::fs::remove_file(dir.join(format!("ckpt-{id}")));
-    }
+    s.core
+        .settle(id, None, &DoneFrame::from_report(id, 0, &report, run_ms));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobSpec;
+    use crate::job::{JobSpec, Priority};
     use sprout_core::recovery::{RecoveryConfig, StageBudget};
 
     fn fast_router() -> RouterConfig {

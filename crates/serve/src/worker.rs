@@ -9,11 +9,11 @@
 //! the checkpoint file in the coordinator's data directory is the
 //! cross-process handoff.
 //!
-//! The worker *classifies* its outcome (completed / expired / failed +
-//! retryable) in a [`DoneFrame`]; the coordinator owns the retry
-//! decision. Heartbeats run on their own thread, so they keep flowing
-//! while a long job routes — only an injected blackout, a SIGSTOP, or
-//! real death silences them.
+//! The worker *classifies* its outcome in a [`DoneFrame`] built by
+//! [`DoneFrame::from_report`], exactly as the in-process service does;
+//! the coordinator's job core owns the retry decision. Heartbeats run
+//! on their own thread, so they keep flowing while a long job routes —
+//! only an injected blackout, a SIGSTOP, or real death silences them.
 //!
 //! Process-level faults ([`FleetFaultPlan`]) are drawn *inside* the
 //! worker from `(seed, job, attempt)` carried by the lease, so a chaos
@@ -28,8 +28,7 @@ use crate::job::JobSpec;
 use crate::proto::{CoordFrame, DoneFrame, WorkerFrame};
 use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
 use sprout_core::router::RouterConfig;
-use sprout_core::supervisor::{is_retryable, Supervisor, SupervisorConfig, WaveProgress};
-use sprout_core::SproutError;
+use sprout_core::supervisor::{Supervisor, SupervisorConfig, WaveProgress};
 use sprout_telemetry::{self as telemetry, Event, Recorder};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
@@ -279,20 +278,6 @@ fn run_lease<W>(
 where
     W: Write + Send + 'static,
 {
-    let mut done = DoneFrame {
-        job,
-        lease,
-        state: "failed".into(),
-        resumed: 0,
-        rails_complete: 0,
-        rails_total: spec.rails.len(),
-        area_mm2: 0.0,
-        solves: 0,
-        run_ms: 0.0,
-        error: None,
-        retryable: false,
-    };
-
     // Injected process faults, decided from (seed, job, attempt) so the
     // schedule is identical whichever worker the job lands on.
     let mut kill = false;
@@ -311,19 +296,9 @@ where
         kill = plan.kills(job, attempt);
     }
 
-    let board = match spec.resolve_board() {
-        Ok(b) => b,
-        Err(e) => {
-            done.error = Some(e.to_string());
-            return done;
-        }
-    };
-    let requests = match spec.requests(&board) {
-        Ok(r) => r,
-        Err(e) => {
-            done.error = Some(e.to_string());
-            return done;
-        }
+    let (board, requests) = match spec.resolve() {
+        Ok(resolved) => resolved,
+        Err(e) => return DoneFrame::unroutable(job, lease, spec.rails.len(), e.to_string()),
     };
 
     let mut router = config.router;
@@ -379,35 +354,7 @@ where
         let _telemetry = telemetry::RecorderScope::install(stage_recorder);
         Supervisor::new(&board, router, sup_config).run(&requests)
     };
-    done.run_ms = start.elapsed().as_secs_f64() * 1e3;
-    done.resumed = report.resumed;
-    done.rails_complete = report
-        .rails
-        .iter()
-        .filter(|r| r.outcome.is_complete())
-        .count();
-    done.solves = report.results().map(|r| r.timings.solves as u64).sum();
-    done.area_mm2 = report.shapes().iter().map(|(_, _, sh)| sh.area_mm2()).sum();
-
-    if report.is_complete() {
-        done.state = "completed".into();
-        return done;
-    }
-
-    let mut any_deadline = false;
-    for (_, e) in report.failures() {
-        if done.error.is_none() {
-            done.error = Some(e.to_string());
-        }
-        if is_retryable(e) {
-            done.retryable = true;
-        }
-        if matches!(e, SproutError::DeadlineExpired { .. }) {
-            any_deadline = true;
-        }
-    }
-    done.state = if any_deadline { "expired" } else { "failed" }.into();
-    done
+    DoneFrame::from_report(job, lease, &report, start.elapsed().as_secs_f64() * 1e3)
 }
 
 /// The `sprout_fleet_worker` entry point: parses the worker command

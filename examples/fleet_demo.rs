@@ -120,9 +120,21 @@ fn main() {
     // ---- Act 3: coordinator crash + restart ----------------------------
     println!("\n=== 3. coordinator crash: journal replay finishes the work ===");
     let config = demo_config("restart");
-    let fleet = FleetCoordinator::start(config.clone()).expect("fleet starts");
+    // Every attempt of the first coordinator stalls before routing, so
+    // the crash lands while both workers hold a lease.
+    let fleet = FleetCoordinator::start(FleetConfig {
+        fault: Some(FleetFaultPlan {
+            stall_rate: 1.0,
+            stall_ms: 1_000,
+            ..FleetFaultPlan::quiet(7)
+        }),
+        ..config.clone()
+    })
+    .expect("fleet starts");
     let ids = submit_sweep(&fleet, 4);
-    std::thread::sleep(Duration::from_millis(60));
+    while fleet.metrics().leased < 2 {
+        std::thread::sleep(Duration::from_millis(2));
+    }
     fleet.shutdown_abrupt(); // SIGKILL the workers, finalize nothing
     drop(fleet);
     println!("coordinator died with work in flight…");

@@ -14,7 +14,7 @@ use sprout_serve::job::{JobSpec, JobState};
 use sprout_telemetry::json::{parse, Json};
 use std::path::PathBuf;
 use std::process::Command;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A per-test data directory under the system temp dir, wiped first.
 fn data_dir(name: &str) -> PathBuf {
@@ -45,6 +45,30 @@ fn submit_all(fleet: &FleetCoordinator, jobs: usize) -> Vec<u64> {
                 .expect("submit should be accepted")
         })
         .collect()
+}
+
+/// A seeded plan that stalls every attempt before it routes. The stall
+/// runs on the job thread, so heartbeats keep flowing and the lease
+/// stays open: a process fault injected while every worker holds a
+/// lease lands on leased work whatever the build profile.
+fn stall_every_attempt() -> FleetFaultPlan {
+    FleetFaultPlan {
+        stall_rate: 1.0,
+        stall_ms: 1_000,
+        ..FleetFaultPlan::quiet(11)
+    }
+}
+
+/// Blocks until each of `workers` workers holds a lease.
+fn wait_until_all_leased(fleet: &FleetCoordinator, workers: usize) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while fleet.metrics().leased != workers {
+        assert!(
+            Instant::now() < deadline,
+            "the {workers} workers never all held a lease"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 /// The fleet-level exactly-once contract over a settled coordinator.
@@ -154,12 +178,13 @@ fn seeded_kills_redispatch_and_resume_from_checkpoint() {
 fn real_sigkill_redistributes_leased_work() {
     let mut config = fleet_config("sigkill", 2);
     config.heartbeat_timeout_ms = 300;
+    config.fault = Some(stall_every_attempt());
     let fleet = FleetCoordinator::start(config).expect("fleet start");
     let ids = submit_all(&fleet, 4);
 
-    // Give the dispatcher a moment to lease work out, then kill one
-    // worker for real — kernel SIGKILL, no injected cooperation.
-    std::thread::sleep(Duration::from_millis(60));
+    // Once both workers hold a lease, kill one for real — kernel
+    // SIGKILL, no injected cooperation.
+    wait_until_all_leased(&fleet, 2);
     let pids = fleet.worker_pids();
     assert!(!pids.is_empty(), "no live workers to kill");
     let status = Command::new("kill")
@@ -196,10 +221,11 @@ fn sigstop_stall_times_out_heartbeats_and_redistributes() {
     // process so it can never wake up and double-report.
     let mut config = fleet_config("sigstop", 2);
     config.heartbeat_timeout_ms = 300;
+    config.fault = Some(stall_every_attempt());
     let fleet = FleetCoordinator::start(config).expect("fleet start");
     let ids = submit_all(&fleet, 4);
 
-    std::thread::sleep(Duration::from_millis(60));
+    wait_until_all_leased(&fleet, 2);
     let pids = fleet.worker_pids();
     assert!(!pids.is_empty(), "no live workers to stall");
     let status = Command::new("kill")
@@ -293,11 +319,15 @@ fn coordinator_crash_and_restart_finishes_every_job_exactly_once() {
     let mut config = fleet_config("restart", 2);
     config.data_dir = Some(dir.clone());
 
-    let fleet = FleetCoordinator::start(config.clone()).expect("fleet start");
+    let fleet = FleetCoordinator::start(FleetConfig {
+        fault: Some(stall_every_attempt()),
+        ..config.clone()
+    })
+    .expect("fleet start");
     let ids = submit_all(&fleet, 6);
     // Crash the coordinator while work is in flight: SIGKILL every
     // worker, finalize nothing, leave journal + checkpoints as-is.
-    std::thread::sleep(Duration::from_millis(120));
+    wait_until_all_leased(&fleet, 2);
     fleet.shutdown_abrupt();
     drop(fleet);
 
@@ -308,8 +338,8 @@ fn coordinator_crash_and_restart_finishes_every_job_exactly_once() {
         ids.len()
     );
 
-    // The restarted coordinator replays the journal, re-admits every
-    // admitted-but-unfinished job, and finishes it.
+    // The restarted coordinator (no fault plan) replays the journal,
+    // re-admits every admitted-but-unfinished job, and finishes it.
     let fleet = FleetCoordinator::start(config).expect("fleet restart");
     let m = fleet.metrics();
     assert_eq!(

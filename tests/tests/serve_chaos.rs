@@ -8,14 +8,16 @@
 //! service never panics, and no accepted job is lost.** Killed jobs
 //! are the one deliberate exception inside a single service lifetime:
 //! they stay non-terminal until a restarted service recovers them from
-//! their journal and checkpoint — which this suite also asserts.
+//! the journal and their checkpoint — which this suite also asserts.
 
 use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
 use sprout_core::router::RouterConfig;
 use sprout_serve::chaos::ServeFaultPlan;
+use sprout_serve::fleet::replay_journal;
 use sprout_serve::job::{JobSpec, JobState, Priority};
 use sprout_serve::service::{RoutingService, ServiceConfig, SubmitError};
-use std::path::PathBuf;
+use sprout_telemetry::json::{parse, Json};
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn fast_router() -> RouterConfig {
@@ -48,6 +50,20 @@ fn data_dir(name: &str) -> PathBuf {
     p.push(format!("sprout-serve-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&p);
     p
+}
+
+/// The terminal states the journal records for job `id`, one per
+/// `done` line.
+fn journal_dones(dir: &Path, id: u64) -> Vec<String> {
+    let text = std::fs::read_to_string(dir.join("fleet.journal")).expect("journal readable");
+    text.lines()
+        .filter_map(|line| parse(line).ok())
+        .filter(|r| {
+            r.get("kind").and_then(Json::as_str) == Some("done")
+                && r.get("id").and_then(Json::as_u64) == Some(id)
+        })
+        .filter_map(|r| r.get("state").and_then(Json::as_str).map(str::to_owned))
+        .collect()
 }
 
 /// Asserts the service-level contract over a finished service: every
@@ -228,12 +244,15 @@ fn mid_job_kill_resumes_from_checkpoint_after_restart() {
     assert_eq!(svc.metrics().killed, 1);
     svc.shutdown(true);
     drop(svc);
+    let replay = replay_journal(
+        &std::fs::read_to_string(dir.join("fleet.journal")).expect("journal readable"),
+    );
     assert!(
-        dir.join(format!("job-{id}.json")).exists(),
+        replay.pending.iter().any(|(p, _, _)| *p == id),
         "journal must survive the crash"
     );
     assert!(
-        !dir.join(format!("done-{id}.json")).exists(),
+        !replay.terminal.contains_key(&id),
         "no terminal record may exist for a killed job"
     );
 
@@ -260,9 +279,10 @@ fn mid_job_kill_resumes_from_checkpoint_after_restart() {
     assert_eq!(svc2.metrics().recovered, 1);
     svc2.shutdown(true);
     assert_terminal_contract(&svc2);
-    assert!(
-        dir.join(format!("done-{id}.json")).exists(),
-        "the recovered job must journal its terminal state"
+    assert_eq!(
+        journal_dones(&dir, id),
+        ["completed"],
+        "the recovered job must journal its terminal state exactly once"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -293,13 +313,22 @@ fn restart_without_crash_recovers_nothing() {
         0,
         "a cleanly finished job must not be re-run"
     );
-    assert!(svc2.status(id).is_none(), "no record re-admitted");
+    // The finished job is remembered terminal from its journal record,
+    // never re-run.
+    let snap = svc2.status(id).expect("finished job stays queryable");
+    assert_eq!(snap.state, JobState::Completed, "no record re-admitted");
+    assert_eq!((snap.attempts, snap.terminal_transitions), (0, 1));
     // Ids keep increasing across restarts — no collision with journals.
     let id2 = svc2.submit(JobSpec::two_rail(18.0)).expect("accepted");
     assert!(id2 > id, "recovered id space must advance past {id}");
     assert!(svc2.wait_idle(Duration::from_secs(300)));
     svc2.shutdown(true);
     assert_terminal_contract(&svc2);
+    assert_eq!(
+        journal_dones(&dir, id),
+        ["completed"],
+        "a restart must not journal a second terminal record"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
