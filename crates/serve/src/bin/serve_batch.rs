@@ -12,12 +12,12 @@
 //!             [--deadline-ms MS] [--chaos-seed S] [--quiet]
 //! ```
 
-use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
-use sprout_core::router::RouterConfig;
 use sprout_serve::backoff::BackoffConfig;
 use sprout_serve::chaos::ServeFaultPlan;
+use sprout_serve::cli::parse;
 use sprout_serve::job::{JobSpec, JobState};
 use sprout_serve::service::{RoutingService, ServiceConfig, SubmitError};
+use sprout_serve::worker::fast_router;
 use std::time::{Duration, Instant};
 
 /// Saturation retries per job before giving up on it.
@@ -57,20 +57,11 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--jobs" => jobs = parse(&take(&args, &mut i, "--jobs"), "--jobs"),
-            "--workers" => workers = parse(&take(&args, &mut i, "--workers"), "--workers"),
-            "--queue-capacity" => {
-                queue_capacity = parse(&take(&args, &mut i, "--queue-capacity"), "--queue-capacity")
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(parse(
-                    &take(&args, &mut i, "--deadline-ms"),
-                    "--deadline-ms",
-                ))
-            }
-            "--chaos-seed" => {
-                chaos_seed = Some(parse(&take(&args, &mut i, "--chaos-seed"), "--chaos-seed"))
-            }
+            "--jobs" => jobs = parse(&args, &mut i),
+            "--workers" => workers = parse(&args, &mut i),
+            "--queue-capacity" => queue_capacity = parse(&args, &mut i),
+            "--deadline-ms" => deadline_ms = Some(parse(&args, &mut i)),
+            "--chaos-seed" => chaos_seed = Some(parse(&args, &mut i)),
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
                 println!(
@@ -87,22 +78,10 @@ fn main() {
         i += 1;
     }
 
-    let router = RouterConfig {
-        tile_pitch_mm: 0.5,
-        grow_iterations: 8,
-        refine_iterations: 2,
-        reheat: None,
-        recovery: RecoveryConfig {
-            policy: RecoveryPolicy::BestSoFar,
-            budget: StageBudget::default(),
-            fault: None,
-        },
-        ..RouterConfig::default()
-    };
     let config = ServiceConfig {
         workers,
         queue_capacity,
-        router,
+        router: fast_router(),
         default_deadline_ms: deadline_ms,
         fault: chaos_seed.map(|seed| ServeFaultPlan {
             seed,
@@ -190,19 +169,4 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-fn take(args: &[String], i: &mut usize, what: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("missing value for {what}");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        std::process::exit(2);
-    })
 }

@@ -17,7 +17,8 @@
 
 use sprout_serve::backoff::BackoffConfig;
 use sprout_serve::chaos::FleetFaultPlan;
-use sprout_serve::fleet::{sigterm_flag, FleetConfig, FleetCoordinator};
+use sprout_serve::cli::{parse, sigterm_flag, take};
+use sprout_serve::fleet::{FleetConfig, FleetCoordinator};
 use sprout_serve::job::{JobSpec, JobState};
 use sprout_serve::service::SubmitError;
 use std::sync::atomic::Ordering;
@@ -47,55 +48,19 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
+        if fault.parse_flag(&args, &mut i) {
+            have_fault = true;
+            i += 1;
+            continue;
+        }
         match args[i].as_str() {
-            "--jobs" => jobs = parse(&take(&args, &mut i, "--jobs"), "--jobs"),
-            "--workers" => config.workers = parse(&take(&args, &mut i, "--workers"), "--workers"),
-            "--queue-capacity" => {
-                config.queue_capacity =
-                    parse(&take(&args, &mut i, "--queue-capacity"), "--queue-capacity")
-            }
-            "--deadline-ms" => {
-                deadline_ms = Some(parse(
-                    &take(&args, &mut i, "--deadline-ms"),
-                    "--deadline-ms",
-                ))
-            }
-            "--data-dir" => config.data_dir = Some(take(&args, &mut i, "--data-dir").into()),
-            "--chaos-seed" => {
-                fault.seed = parse(&take(&args, &mut i, "--chaos-seed"), "--chaos-seed");
-                have_fault = true;
-            }
-            "--kill-rate" => {
-                fault.kill_rate = parse(&take(&args, &mut i, "--kill-rate"), "--kill-rate");
-                have_fault = true;
-            }
-            "--stall-rate" => {
-                fault.stall_rate = parse(&take(&args, &mut i, "--stall-rate"), "--stall-rate");
-                have_fault = true;
-            }
-            "--stall-ms" => {
-                fault.stall_ms = parse(&take(&args, &mut i, "--stall-ms"), "--stall-ms");
-                have_fault = true;
-            }
-            "--blackout-rate" => {
-                fault.blackout_rate =
-                    parse(&take(&args, &mut i, "--blackout-rate"), "--blackout-rate");
-                have_fault = true;
-            }
-            "--blackout-ms" => {
-                fault.blackout_ms = parse(&take(&args, &mut i, "--blackout-ms"), "--blackout-ms");
-                have_fault = true;
-            }
-            "--heartbeat-ms" => {
-                config.heartbeat_ms =
-                    parse(&take(&args, &mut i, "--heartbeat-ms"), "--heartbeat-ms")
-            }
-            "--heartbeat-timeout-ms" => {
-                config.heartbeat_timeout_ms = parse(
-                    &take(&args, &mut i, "--heartbeat-timeout-ms"),
-                    "--heartbeat-timeout-ms",
-                )
-            }
+            "--jobs" => jobs = parse(&args, &mut i),
+            "--workers" => config.workers = parse(&args, &mut i),
+            "--queue-capacity" => config.queue_capacity = parse(&args, &mut i),
+            "--deadline-ms" => deadline_ms = Some(parse(&args, &mut i)),
+            "--data-dir" => config.data_dir = Some(take(&args, &mut i).into()),
+            "--heartbeat-ms" => config.heartbeat_ms = parse(&args, &mut i),
+            "--heartbeat-timeout-ms" => config.heartbeat_timeout_ms = parse(&args, &mut i),
             "--quiet" | "-q" => quiet = true,
             "--help" | "-h" => {
                 println!(
@@ -249,19 +214,4 @@ fn main() {
         );
         std::process::exit(1);
     }
-}
-
-fn take(args: &[String], i: &mut usize, what: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("missing value for {what}");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        std::process::exit(2);
-    })
 }

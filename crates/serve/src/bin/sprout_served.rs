@@ -2,10 +2,11 @@
 //!
 //! Starts a [`RoutingService`] — or, with `--fleet N`, a
 //! [`FleetCoordinator`] over N worker processes — and serves the same
-//! HTTP/1.1 JSON API until interrupted (or until `--run-for-ms`
-//! elapses, for scripted smoke tests). In fleet mode SIGTERM triggers
-//! a graceful drain: no new leases, in-flight jobs finish or
-//! checkpoint, queued work stays journaled for the next coordinator.
+//! HTTP/1.1 JSON API until SIGTERM (or until `--run-for-ms` elapses,
+//! for scripted smoke tests). Either way the stop is a graceful drain:
+//! the listener closes, in-flight jobs finish (or checkpoint, in fleet
+//! mode), queued work stays journaled for the next start, and a
+//! `drained` line with the final metrics is printed before exit 0.
 //!
 //! ```text
 //! sprout_served [--addr 127.0.0.1:7171] [--workers N] [--queue-capacity N]
@@ -13,9 +14,11 @@
 //!               [--fleet N]
 //! ```
 
-use sprout_serve::fleet::{sigterm_flag, FleetConfig, FleetCoordinator};
-use sprout_serve::http::HttpServer;
+use sprout_serve::cli::{parse, sigterm_flag, take};
+use sprout_serve::fleet::{FleetConfig, FleetCoordinator};
+use sprout_serve::http::{HttpServer, JobBackend};
 use sprout_serve::service::{RoutingService, ServiceConfig};
+use std::fmt::Display;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -30,23 +33,13 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--addr" => addr = take(&args, &mut i, "--addr"),
-            "--workers" => config.workers = parse(&take(&args, &mut i, "--workers"), "--workers"),
-            "--queue-capacity" => {
-                config.queue_capacity =
-                    parse(&take(&args, &mut i, "--queue-capacity"), "--queue-capacity")
-            }
-            "--data-dir" => config.data_dir = Some(take(&args, &mut i, "--data-dir").into()),
-            "--deadline-ms" => {
-                config.default_deadline_ms = Some(parse(
-                    &take(&args, &mut i, "--deadline-ms"),
-                    "--deadline-ms",
-                ))
-            }
-            "--run-for-ms" => {
-                run_for_ms = Some(parse(&take(&args, &mut i, "--run-for-ms"), "--run-for-ms"))
-            }
-            "--fleet" => fleet_workers = Some(parse(&take(&args, &mut i, "--fleet"), "--fleet")),
+            "--addr" => addr = take(&args, &mut i),
+            "--workers" => config.workers = parse(&args, &mut i),
+            "--queue-capacity" => config.queue_capacity = parse(&args, &mut i),
+            "--data-dir" => config.data_dir = Some(take(&args, &mut i).into()),
+            "--deadline-ms" => config.default_deadline_ms = Some(parse(&args, &mut i)),
+            "--run-for-ms" => run_for_ms = Some(parse(&args, &mut i)),
+            "--fleet" => fleet_workers = Some(parse(&args, &mut i)),
             "--help" | "-h" => {
                 println!(
                     "sprout_served [--addr A] [--workers N] [--queue-capacity N] \
@@ -62,62 +55,63 @@ fn main() {
         i += 1;
     }
 
-    if let Some(workers) = fleet_workers {
-        run_fleet(&addr, workers, &config, run_for_ms);
-        return;
-    }
+    // Install the handler before any worker thread or process exists.
+    let sigterm = sigterm_flag();
+    let stop_at = run_for_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
+    let until_stopped = || loop {
+        std::thread::sleep(Duration::from_millis(50));
+        if sigterm.load(Ordering::SeqCst) {
+            eprintln!("sprout_served: SIGTERM — draining");
+            return;
+        }
+        if stop_at.is_some_and(|t| Instant::now() >= t) {
+            return;
+        }
+    };
 
-    let service = match RoutingService::start(config) {
-        Ok(s) => Arc::new(s),
+    match fleet_workers {
+        Some(workers) => {
+            let fleet = FleetCoordinator::start(FleetConfig {
+                workers,
+                queue_capacity: config.queue_capacity,
+                data_dir: config.data_dir.clone(),
+                default_deadline_ms: config.default_deadline_ms,
+                worker_args: vec!["--router".into(), "fast".into()],
+                ..FleetConfig::default()
+            });
+            let mode = format!("fleet, {workers} workers");
+            serve(&addr, &mode, fleet, until_stopped, |f| {
+                f.drain(Duration::from_secs(60));
+            });
+        }
+        None => serve(
+            &addr,
+            "in-process",
+            RoutingService::start(config),
+            until_stopped,
+            |s| s.shutdown(true),
+        ),
+    }
+}
+
+/// The one serve loop for both backends: bind, serve until
+/// `until_stopped` returns, close the listener, `drain` the backend and
+/// print its final metrics.
+fn serve<B: JobBackend + 'static>(
+    addr: &str,
+    mode: &str,
+    backend: Result<B, impl Display>,
+    until_stopped: impl FnOnce(),
+    drain: impl FnOnce(&B),
+) {
+    let backend = match backend {
+        Ok(b) => Arc::new(b),
         Err(e) => {
             eprintln!("sprout_served: {e}");
             std::process::exit(1);
         }
     };
-    let mut server = match HttpServer::bind(&addr, Arc::clone(&service)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("sprout_served: bind {addr}: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("sprout_served listening on http://{}", server.addr());
-
-    match run_for_ms {
-        Some(ms) => std::thread::sleep(Duration::from_millis(ms)),
-        None => loop {
-            // No signal handling without dependencies: park forever;
-            // the process dies with the terminal.
-            std::thread::park();
-        },
-    }
-
-    server.stop();
-    service.shutdown(true);
-    let m = service.metrics();
-    println!("sprout_served: drained; {}", m.to_json());
-}
-
-/// Fleet-backed daemon: same HTTP API, jobs sharded across worker
-/// processes, SIGTERM drains gracefully.
-fn run_fleet(addr: &str, workers: usize, base: &ServiceConfig, run_for_ms: Option<u64>) {
-    let config = FleetConfig {
-        workers,
-        queue_capacity: base.queue_capacity,
-        data_dir: base.data_dir.clone(),
-        default_deadline_ms: base.default_deadline_ms,
-        worker_args: vec!["--router".into(), "fast".into()],
-        ..FleetConfig::default()
-    };
-    let sigterm = sigterm_flag();
-    let fleet = match FleetCoordinator::start(config) {
-        Ok(f) => Arc::new(f),
-        Err(e) => {
-            eprintln!("sprout_served: fleet: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut server = match HttpServer::bind(addr, Arc::clone(&fleet)) {
+    let mut server = match HttpServer::bind(addr, Arc::clone(&backend)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("sprout_served: bind {addr}: {e}");
@@ -125,38 +119,11 @@ fn run_fleet(addr: &str, workers: usize, base: &ServiceConfig, run_for_ms: Optio
         }
     };
     println!(
-        "sprout_served listening on http://{} (fleet, {workers} workers)",
+        "sprout_served listening on http://{} ({mode})",
         server.addr()
     );
-
-    let stop_at = run_for_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    loop {
-        std::thread::sleep(Duration::from_millis(50));
-        if sigterm.load(Ordering::SeqCst) {
-            eprintln!("sprout_served: SIGTERM — draining fleet");
-            break;
-        }
-        if stop_at.is_some_and(|t| Instant::now() >= t) {
-            break;
-        }
-    }
-
+    until_stopped();
     server.stop();
-    fleet.drain(Duration::from_secs(60));
-    println!("sprout_served: drained; {}", fleet.metrics().to_json());
-}
-
-fn take(args: &[String], i: &mut usize, what: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("missing value for {what}");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        std::process::exit(2);
-    })
+    drain(&backend);
+    println!("sprout_served: drained; {}", backend.metrics_json());
 }

@@ -21,6 +21,7 @@
 //! * **Slow job** — the worker stalls before routing, driving deadline
 //!   and backpressure paths.
 
+use crate::cli::parse;
 use sprout_rng::{hash3, u64_to_f64};
 
 /// Seeded service-fault plan. `None` everywhere in production.
@@ -128,6 +129,23 @@ impl FleetFaultPlan {
 
     fn draw(&self, salt: u64, job: u64, attempt: usize) -> f64 {
         u64_to_f64(hash3(self.seed ^ salt, job, attempt as u64))
+    }
+
+    /// Applies the fault flag at `args[*i]` (`--chaos-seed`,
+    /// `--kill-rate`, `--stall-rate`, `--stall-ms`, `--blackout-rate`,
+    /// `--blackout-ms`), advancing `i` onto its value. `false`, with
+    /// nothing consumed, when `args[*i]` is not a fault flag.
+    pub fn parse_flag(&mut self, args: &[String], i: &mut usize) -> bool {
+        match args[*i].as_str() {
+            "--chaos-seed" => self.seed = parse(args, i),
+            "--kill-rate" => self.kill_rate = parse(args, i),
+            "--stall-rate" => self.stall_rate = parse(args, i),
+            "--stall-ms" => self.stall_ms = parse(args, i),
+            "--blackout-rate" => self.blackout_rate = parse(args, i),
+            "--blackout-ms" => self.blackout_ms = parse(args, i),
+            _ => return false,
+        }
+        true
     }
 
     /// Should this attempt kill the worker process after the first

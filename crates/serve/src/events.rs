@@ -5,9 +5,10 @@
 //! timings (grow/refine/reheat — the paper's §II stages), solver
 //! residual points, retry/panic incidents, and exactly one terminal
 //! event per job. Producers never block on consumers: each job owns a
-//! bounded ring (drop-oldest, like [`sprout_telemetry::ring::RingSink`])
-//! and every publish is a short mutex hold plus a condvar notify —
-//! whether zero or many HTTP streams are attached.
+//! bounded drop-oldest [`Ring`] (the type
+//! [`sprout_telemetry::ring::RingSink`] is built on) and every publish
+//! is a short mutex hold plus a condvar notify — whether zero or many
+//! HTTP streams are attached.
 //!
 //! Events carry a per-job monotone sequence number starting at 1, so a
 //! long-poll client can resume with `?since=seq` and replay is
@@ -15,17 +16,20 @@
 //! anything the ring has dropped, which the `dropped` counters admit
 //! to).
 //!
-//! In-process jobs feed the bus two ways: the supervisor's `on_wave`
-//! hook publishes [`EventKind::Progress`], and a [`JobRecorder`]
-//! installed around the routing run captures telemetry spans/points
-//! with job attribution. Fleet mode feeds the same bus from
-//! [`WorkerFrame::Progress`](crate::proto::WorkerFrame) frames instead,
-//! so streaming behaves identically under `--fleet N`.
+//! A routing attempt feeds the bus through one [`JobRecorder`], on
+//! either backend: the attempt runner installs it around the
+//! supervisor and points the wave hook at it. The recorder renders
+//! each event's fields once. In-process it publishes them straight onto
+//! the bus; in a fleet worker it hands them to a sink that ships them
+//! as [`WorkerFrame::Event`](crate::proto::WorkerFrame) frames, which
+//! the coordinator splices verbatim into its own bus lines — so a
+//! stream reads the same under `--fleet N` as in-process.
 
 use sprout_telemetry::json::Obj;
 use sprout_telemetry::prof::ProfMutex;
+use sprout_telemetry::ring::Ring;
 use sprout_telemetry::{Event, Recorder};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
@@ -67,6 +71,20 @@ impl EventKind {
             EventKind::Terminal => "terminal",
         }
     }
+
+    /// The kind a wire name names, if any.
+    pub fn parse(name: &str) -> Option<EventKind> {
+        [
+            EventKind::Progress,
+            EventKind::Stage,
+            EventKind::Residual,
+            EventKind::Retry,
+            EventKind::Panic,
+            EventKind::Terminal,
+        ]
+        .into_iter()
+        .find(|k| k.name() == name)
+    }
 }
 
 /// One published event: the rendered NDJSON line plus the metadata
@@ -95,11 +113,10 @@ pub struct EventPage {
     pub terminal: bool,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Channel {
-    events: VecDeque<JobEvent>,
+    events: Ring<JobEvent>,
     next_seq: u64,
-    dropped: u64,
     terminals: u64,
 }
 
@@ -143,7 +160,11 @@ impl EventBus {
     /// drops its oldest event and counts it.
     pub fn publish(&self, job: u64, kind: EventKind, fields: impl FnOnce(&mut Obj)) {
         let mut channels = self.channels.lock();
-        let ch = channels.entry(job).or_default();
+        let ch = channels.entry(job).or_insert_with(|| Channel {
+            events: Ring::new(self.capacity),
+            next_seq: 0,
+            terminals: 0,
+        });
         ch.next_seq += 1;
         let seq = ch.next_seq;
         let mut obj = Obj::new();
@@ -151,20 +172,18 @@ impl EventBus {
             .u64("job", job)
             .str("event", kind.name());
         fields(&mut obj);
-        if ch.events.len() >= self.capacity {
-            ch.events.pop_front();
-            ch.dropped += 1;
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
         if kind == EventKind::Terminal {
             ch.terminals += 1;
         }
-        ch.events.push_back(JobEvent {
+        let evicted = ch.events.push(JobEvent {
             seq,
             job,
             kind,
             line: obj.finish(),
         });
+        if evicted {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
         self.published.fetch_add(1, Ordering::Relaxed);
         drop(channels);
         self.wake.notify_all();
@@ -213,7 +232,7 @@ impl EventBus {
                 .filter(|e| e.seq > since)
                 .cloned()
                 .collect(),
-            dropped: ch.dropped,
+            dropped: ch.events.dropped(),
             terminal: ch.terminals > 0,
         }
     }
@@ -255,17 +274,29 @@ const RESIDUAL_POINTS: [&str; 7] = [
     "budget_overrun",
 ];
 
-/// A [`Recorder`] adapter that tags telemetry with a job id and feeds
-/// the bus, chaining to whatever recorder was already current so
+/// Where a [`JobRecorder`] delivers its events.
+pub(crate) enum EventSink {
+    /// Straight onto a bus, under the recorder's job id.
+    Bus(Arc<EventBus>),
+    /// Rendered, as `(kind, fields object)`: a fleet worker ships each
+    /// one to its coordinator as an event frame.
+    Rendered(Arc<dyn Fn(EventKind, String) + Send + Sync>),
+}
+
+/// The one job-event recorder: tags telemetry with a job id, renders
+/// each forwarded event's fields once and delivers them to its sink,
+/// chaining every event to whatever recorder was already current so
 /// existing sinks keep seeing everything.
 ///
 /// Only an allowlist is forwarded — stage span ends, residual points,
 /// retry and panic points — so the per-event cost stays a filtered
-/// match for the torrent of solver-internal events.
+/// match for the torrent of solver-internal events. Wave progress
+/// arrives through [`JobRecorder::emit`] from the supervisor's wave
+/// hook.
 pub struct JobRecorder {
-    bus: Arc<EventBus>,
-    job: u64,
-    inner: Option<Arc<dyn Recorder>>,
+    pub(crate) sink: EventSink,
+    pub(crate) job: u64,
+    pub(crate) inner: Option<Arc<dyn Recorder>>,
 }
 
 impl JobRecorder {
@@ -273,7 +304,23 @@ impl JobRecorder {
     /// `inner` (pass [`sprout_telemetry::current`]'s result to keep
     /// the previously-installed recorder live).
     pub fn new(bus: Arc<EventBus>, job: u64, inner: Option<Arc<dyn Recorder>>) -> JobRecorder {
-        JobRecorder { bus, job, inner }
+        JobRecorder {
+            sink: EventSink::Bus(bus),
+            job,
+            inner,
+        }
+    }
+
+    /// Delivers one event of `kind` whose fields `fields` renders.
+    pub(crate) fn emit(&self, kind: EventKind, fields: impl FnOnce(&mut Obj)) {
+        match &self.sink {
+            EventSink::Bus(bus) => bus.publish(self.job, kind, fields),
+            EventSink::Rendered(send) => {
+                let mut body = Obj::new();
+                fields(&mut body);
+                send(kind, body.finish());
+            }
+        }
     }
 }
 
@@ -295,7 +342,7 @@ impl Recorder for JobRecorder {
                 fields,
                 ..
             } if STAGE_SPANS.contains(name) => {
-                self.bus.publish(self.job, EventKind::Stage, |obj| {
+                self.emit(EventKind::Stage, |obj| {
                     obj.str("stage", name)
                         .f64("elapsed_ms", *elapsed_ns as f64 / 1e6);
                     for (k, v) in fields {
@@ -305,22 +352,19 @@ impl Recorder for JobRecorder {
             }
             Event::Point { name, fields, .. } => {
                 let kind = match *name {
-                    "retry" => EventKind::Retry,
-                    "worker_panic" => EventKind::Panic,
-                    n if RESIDUAL_POINTS.contains(&n) => EventKind::Residual,
-                    _ => {
-                        if let Some(inner) = &self.inner {
-                            inner.record(event);
-                        }
-                        return;
-                    }
+                    "retry" => Some(EventKind::Retry),
+                    "worker_panic" => Some(EventKind::Panic),
+                    n if RESIDUAL_POINTS.contains(&n) => Some(EventKind::Residual),
+                    _ => None,
                 };
-                self.bus.publish(self.job, kind, |obj| {
-                    obj.str("point", name);
-                    for (k, v) in fields {
-                        obj.value(k, v);
-                    }
-                });
+                if let Some(kind) = kind {
+                    self.emit(kind, |obj| {
+                        obj.str("point", name);
+                        for (k, v) in fields {
+                            obj.value(k, v);
+                        }
+                    });
+                }
             }
             _ => {}
         }

@@ -47,10 +47,11 @@ use crate::proto::{CoordFrame, WorkerFrame};
 use crate::queue::{Popped, QueueEntry};
 use crate::service::{Readiness, ServeError, ServiceMetrics, SubmitError};
 use sprout_telemetry as telemetry;
+use sprout_telemetry::json::{self, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -258,10 +259,17 @@ impl FleetCoordinator {
     }
 
     /// The per-job event bus feeding `GET /jobs/:id/events`. Worker
-    /// progress frames are republished here, so a fleet-backed stream
-    /// looks identical to an in-process one.
+    /// event frames are republished here verbatim, so a fleet-backed
+    /// stream looks identical to an in-process one.
     pub fn events(&self) -> Arc<EventBus> {
         Arc::clone(&self.shared.core.bus)
+    }
+
+    /// The latest attempt's performance profile for `id`, as the
+    /// worker that ran it rendered it into its `done` frame. Feeds
+    /// `GET /jobs/<id>/profile`, same shape as in-process.
+    pub fn profile(&self, id: u64) -> Option<String> {
+        self.shared.core.profile(id)
     }
 
     /// Current counters and latency percentiles.
@@ -493,40 +501,41 @@ fn reader_loop(s: &Arc<Shared>, w: usize, stdout: std::process::ChildStdout) {
         };
         match frame {
             WorkerFrame::Hello { .. } | WorkerFrame::Heartbeat { .. } => beat(s, w),
-            WorkerFrame::Progress {
+            WorkerFrame::Event {
                 job,
                 lease,
-                wave,
-                waves,
-                rails_complete,
-                stage,
-                elapsed_ms,
-                solve_ms,
+                event,
+                body,
             } => {
                 beat(s, w);
-                // Only the current lease publishes: a zombie worker's
-                // frames must not pollute the stream.
-                let publish = s.core.with_record(job, |rec| {
-                    (rec.lease == Some((lease, w))).then(|| {
-                        rec.rails_complete = rec.rails_complete.max(rails_complete);
-                        (rec.rails_complete, rec.rails_total)
-                    })
-                });
-                let Some(Some((rails_done, rails_total))) = publish else {
+                // The core publishes terminal events itself; a worker
+                // naming one, or no kind at all, is faulty.
+                let Some(kind) = EventKind::parse(&event).filter(|k| *k != EventKind::Terminal)
+                else {
+                    telemetry::counter!("fleet.bad_frames");
                     continue;
                 };
-                if stage == "wave" {
-                    s.core.bus.publish(job, EventKind::Progress, |o| {
-                        o.u64("wave", wave as u64)
-                            .u64("waves", waves as u64)
-                            .u64("rails_complete", rails_done as u64)
-                            .u64("rails_total", rails_total as u64)
-                            .f64("elapsed_ms", elapsed_ms)
-                            .f64("solve_ms", solve_ms);
-                    });
-                } else {
-                    s.core.bus.publish(job, EventKind::Stage, |o| {
-                        o.str("stage", &stage).f64("elapsed_ms", elapsed_ms);
+                // Progress events carry the rails finished so far; they
+                // fold in with `max`, so every other event's 0 is inert.
+                let rails_done = match kind {
+                    EventKind::Progress => json::parse(&body)
+                        .ok()
+                        .and_then(|b| b.get("rails_complete").and_then(Json::as_u64))
+                        .unwrap_or(0) as usize,
+                    _ => 0,
+                };
+                // Only the current lease publishes: a zombie worker's
+                // events must not pollute the stream.
+                let current = s.core.with_record(job, |rec| {
+                    let current = rec.lease == Some((lease, w));
+                    if current {
+                        rec.rails_complete = rec.rails_complete.max(rails_done);
+                    }
+                    current
+                });
+                if current == Some(true) {
+                    s.core.bus.publish(job, kind, |o| {
+                        o.splice(&body);
                     });
                 }
             }
@@ -709,10 +718,9 @@ fn dispatch(s: &Arc<Shared>, entry: QueueEntry) {
         spec: job.spec,
         deadline_ms,
         checkpoint: s
-            .config
-            .data_dir
-            .as_ref()
-            .map(|d| d.join(format!("ckpt-{id}")).to_string_lossy().into_owned()),
+            .core
+            .checkpoint(id)
+            .map(|p| p.to_string_lossy().into_owned()),
     };
     workers[w].state = SlotState::Leased { job: id, lease };
     let ok = match workers[w].stdin.as_mut() {
@@ -751,37 +759,6 @@ fn monitor_loop(s: &Arc<Shared>) {
         }
         std::thread::sleep(tick);
     }
-}
-
-// ---- SIGTERM -----------------------------------------------------------
-
-static SIGTERM: AtomicBool = AtomicBool::new(false);
-
-/// Installs a SIGTERM handler (once) and returns the flag it sets —
-/// the graceful-drain trigger for the fleet binaries. On non-Unix
-/// platforms the flag simply never fires.
-pub fn sigterm_flag() -> &'static AtomicBool {
-    #[cfg(unix)]
-    {
-        use std::sync::Once;
-        static INSTALL: Once = Once::new();
-        INSTALL.call_once(|| {
-            extern "C" fn handler(_sig: i32) {
-                // Only the async-signal-safe atomic store happens here.
-                SIGTERM.store(true, Ordering::SeqCst);
-            }
-            extern "C" {
-                fn signal(signum: i32, handler: usize) -> usize;
-            }
-            const SIGTERM_NO: i32 = 15;
-            let f: extern "C" fn(i32) = handler;
-            #[allow(clippy::fn_to_numeric_cast, clippy::fn_to_numeric_cast_any)]
-            unsafe {
-                signal(SIGTERM_NO, f as usize);
-            }
-        });
-    }
-    &SIGTERM
 }
 
 #[cfg(test)]

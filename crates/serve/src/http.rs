@@ -84,12 +84,9 @@ pub trait JobBackend: Send + Sync {
     fn metrics_prometheus(&self) -> String;
     /// The per-job event bus backing `/jobs/<id>/events`.
     fn events(&self) -> Arc<EventBus>;
-    /// The job's performance profile (JSON), if one was recorded.
-    /// Default `None`: backends whose routing runs in other processes
-    /// (fleet mode) have no in-process timeline to serve.
-    fn profile(&self, _id: u64) -> Option<String> {
-        None
-    }
+    /// The latest routed attempt's performance profile (JSON: `job`,
+    /// `attempt_ms`, `slices`, `diagnosis`), wherever it ran.
+    fn profile(&self, id: u64) -> Option<String>;
 }
 
 impl JobBackend for RoutingService {
@@ -146,6 +143,9 @@ impl JobBackend for FleetCoordinator {
     }
     fn events(&self) -> Arc<EventBus> {
         FleetCoordinator::events(self)
+    }
+    fn profile(&self, id: u64) -> Option<String> {
+        FleetCoordinator::profile(self, id)
     }
 }
 

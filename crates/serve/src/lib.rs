@@ -36,7 +36,9 @@
 //!   retry path, one `settle` that classifies each attempt, one
 //!   exactly-once `finalize`, one append-only journal and one
 //!   [`service::ServiceMetrics`] type. The in-process service and the
-//!   fleet coordinator are thin executors over it.
+//!   fleet coordinator are thin executors over it, and both run each
+//!   attempt through one crate-private attempt runner: one supervisor
+//!   configuration, one job-event recorder, one per-attempt profile.
 //! * **Fleet mode** — [`fleet::FleetCoordinator`] shards jobs across
 //!   worker *processes* ([`worker`], speaking the framed protocol of
 //!   [`proto`]) with heartbeat liveness, lease-based assignment,
@@ -57,8 +59,10 @@
 
 #![warn(missing_docs)]
 
+mod attempt;
 pub mod backoff;
 pub mod chaos;
+pub mod cli;
 pub mod events;
 pub mod fleet;
 pub mod http;

@@ -13,17 +13,18 @@
 //! * **Attempts** — an executor takes a popped entry through
 //!   `JobCore::start`, runs it however it runs things, and hands the
 //!   attempt summary ([`DoneFrame`]) to `JobCore::settle`, which
-//!   classifies it once for both backends. An attempt that ends
-//!   without a summary (a panicked thread, a dead process) goes through
-//!   `JobCore::retry`. Both re-enter the queue the same way: seeded
-//!   backoff, one `retry` event.
+//!   classifies it once for both backends and keeps its profile. An
+//!   attempt that ends without a summary (a panicked thread, a dead
+//!   process) goes through `JobCore::retry`. Both re-enter the queue
+//!   the same way: seeded backoff, one `retry` event.
 //! * **Terminal states** — `JobCore::finalize` is the one terminal
 //!   transition: an in-memory transition counter, one terminal counter,
 //!   one `terminal` event, one `done` journal line.
 //! * **The journal** — `fleet.journal` in the data directory, append
 //!   only, opened on the first append. [`replay_journal`] reads it back
 //!   first-record-wins, so a restarted backend re-admits exactly the
-//!   unfinished jobs and remembers the finished ones as terminal.
+//!   unfinished jobs and remembers the finished ones as terminal, with
+//!   their admitted spec and what their `done` line says they produced.
 
 use crate::backoff::BackoffConfig;
 use crate::events::{EventBus, EventKind};
@@ -85,6 +86,8 @@ pub(crate) struct JobRecord {
     area_mm2: f64,
     error: Option<String>,
     terminal_transitions: usize,
+    /// The latest routed attempt's rendered profile.
+    pub profile: Option<String>,
 }
 
 impl JobRecord {
@@ -112,6 +115,7 @@ impl JobRecord {
             area_mm2: 0.0,
             error: None,
             terminal_transitions: 0,
+            profile: None,
         }
     }
 
@@ -297,7 +301,7 @@ impl Journal {
         self.append(&o.finish())
     }
 
-    fn done(&self, id: u64, fp: u64, state: &str) {
+    fn done(&self, id: u64, fp: u64, state: &str, produced: Produced) {
         if self.path.is_none() {
             return;
         }
@@ -305,11 +309,27 @@ impl Journal {
         o.str("kind", "done")
             .u64("id", id)
             .str("fp", &format!("{fp:016x}"))
-            .str("state", state);
+            .str("state", state)
+            .u64("rails_complete", produced.rails_complete as u64)
+            .f64("area_mm2", produced.area_mm2)
+            .u64("solves", produced.solves);
         // A lost terminal line re-runs the job after a restart, which
         // the checkpoint makes cheap; it must not fail the finalize.
         let _ = self.append(&o.finish());
     }
+}
+
+/// What a job had produced when it reached its terminal state, as its
+/// `done` journal line records it. A line written before these fields
+/// existed replays as zeros.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct Produced {
+    /// Rails complete.
+    pub rails_complete: usize,
+    /// Shipped metal area (mm²).
+    pub area_mm2: f64,
+    /// Linear solves spent over every attempt.
+    pub solves: u64,
 }
 
 /// The outcome of replaying a journal — a pure function of the journal
@@ -323,6 +343,9 @@ pub struct JournalReplay {
     /// First terminal record per job: `id → (state name, fingerprint)`.
     /// Rejected submissions appear here as `rejected` tombstones.
     pub terminal: HashMap<u64, (String, u64)>,
+    /// For every job in `terminal`: the spec it was admitted with and
+    /// what its first terminal record says it produced.
+    pub finished: HashMap<u64, (JobSpec, Produced)>,
     /// Duplicate admits and duplicate/conflicting terminal records
     /// ignored (first record wins).
     pub duplicates: u64,
@@ -341,6 +364,7 @@ pub struct JournalReplay {
 pub fn replay_journal(text: &str) -> JournalReplay {
     let mut out = JournalReplay::default();
     let mut admitted: HashMap<u64, (JobSpec, u64, Option<f64>)> = HashMap::new();
+    let mut produced: HashMap<u64, Produced> = HashMap::new();
     let mut order: Vec<u64> = Vec::new();
     for line in text.lines() {
         let line = line.trim();
@@ -401,6 +425,18 @@ pub fn replay_journal(text: &str) -> JournalReplay {
                         Entry::Occupied(_) => out.duplicates += 1, // first record wins
                         Entry::Vacant(v) => {
                             v.insert((state.to_owned(), fp));
+                            let count = |k| root.get(k).and_then(Json::as_u64).unwrap_or(0);
+                            produced.insert(
+                                id,
+                                Produced {
+                                    rails_complete: count("rails_complete") as usize,
+                                    area_mm2: root
+                                        .get("area_mm2")
+                                        .and_then(Json::as_f64)
+                                        .unwrap_or(0.0),
+                                    solves: count("solves"),
+                                },
+                            );
                         }
                     },
                 }
@@ -409,11 +445,13 @@ pub fn replay_journal(text: &str) -> JournalReplay {
         }
     }
     for id in order {
-        if out.terminal.contains_key(&id) {
-            continue;
-        }
         let (spec, _, deadline) = admitted.remove(&id).expect("ordered ids were admitted");
-        out.pending.push((id, spec, deadline));
+        match produced.remove(&id) {
+            Some(p) => {
+                out.finished.insert(id, (spec, p));
+            }
+            None => out.pending.push((id, spec, deadline)),
+        }
     }
     out
 }
@@ -496,16 +534,17 @@ impl JobCore {
             .journal_duplicates
             .store(replay.duplicates, Ordering::Relaxed);
         let mut jobs = core.lock_jobs();
-        for (&id, (state, fp)) in &replay.terminal {
+        for (id, (spec, produced)) in replay.finished {
+            let (state, fp) = &replay.terminal[&id];
             let Some(state) = JobState::parse(state).filter(JobState::is_terminal) else {
                 continue; // a rejected submission's tombstone
             };
-            // The spec is not re-materialized for terminal jobs.
-            let mut rec = JobRecord::new(id, JobSpec::two_rail(0.1), *fp, None, true);
-            rec.priority = Priority::Normal;
-            rec.rails_total = 0;
+            let mut rec = JobRecord::new(id, spec, *fp, None, true);
             rec.state = state;
             rec.terminal_transitions = 1;
+            rec.rails_complete = produced.rails_complete;
+            rec.area_mm2 = produced.area_mm2;
+            rec.solves = produced.solves;
             jobs.insert(id, rec);
         }
         for (id, spec, deadline_ms) in replay.pending {
@@ -558,7 +597,7 @@ impl JobCore {
                 // Tombstone the admit line so a restart never resurrects
                 // a job the client was told was refused.
                 self.lock_jobs().remove(&id);
-                self.journal.done(id, fp, "rejected");
+                self.journal.done(id, fp, "rejected", Produced::default());
                 self.counters.rejected.fetch_add(1, Ordering::Relaxed);
                 telemetry::counter!("serve.rejected");
                 let retry_after_ms = self.config.backoff.delay_ms(id, 0);
@@ -589,6 +628,20 @@ impl JobCore {
     /// Runs `f` on job `id`'s record, if it exists.
     pub fn with_record<R>(&self, id: u64, f: impl FnOnce(&mut JobRecord) -> R) -> Option<R> {
         self.lock_jobs().get_mut(&id).map(f)
+    }
+
+    /// The latest routed attempt's profile for job `id`.
+    pub fn profile(&self, id: u64) -> Option<String> {
+        self.lock_jobs().get(&id).and_then(|r| r.profile.clone())
+    }
+
+    /// Job `id`'s supervisor checkpoint file, when there is a data
+    /// directory: kept across attempts, removed at the terminal state.
+    pub fn checkpoint(&self, id: u64) -> Option<PathBuf> {
+        self.config
+            .data_dir
+            .as_ref()
+            .map(|d| d.join(format!("ckpt-{id}")))
     }
 
     /// Jobs out under a worker-process lease.
@@ -788,6 +841,9 @@ impl JobCore {
             rec.resumed += attempt.resumed;
             rec.solves += attempt.solves;
             rec.area_mm2 = attempt.area_mm2;
+            if attempt.profile.is_some() {
+                rec.profile.clone_from(&attempt.profile);
+            }
             let deadline_passed = rec
                 .deadline_ms
                 .is_some_and(|d| ms_since(rec.submitted) >= d);
@@ -863,7 +919,7 @@ impl JobCore {
     /// checkpoint cleanup.
     pub fn finalize(&self, id: u64, state: JobState, error: Option<String>) {
         debug_assert!(state.is_terminal());
-        let (latency_ms, fp, error) = {
+        let (latency_ms, fp, error, produced) = {
             let mut jobs = self.lock_jobs();
             let Some(rec) = jobs.get_mut(&id) else { return };
             rec.terminal_transitions += 1;
@@ -879,7 +935,12 @@ impl JobCore {
             if rec.error.is_none() {
                 rec.error = error;
             }
-            (ms_since(rec.submitted), rec.fp, rec.error.clone())
+            let produced = Produced {
+                rails_complete: rec.rails_complete,
+                area_mm2: rec.area_mm2,
+                solves: rec.solves,
+            };
+            (ms_since(rec.submitted), rec.fp, rec.error.clone(), produced)
         };
         let c = &self.counters;
         let counter = match state {
@@ -907,9 +968,9 @@ impl JobCore {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(latency_ms);
-        self.journal.done(id, fp, state.name());
-        if let Some(dir) = &self.config.data_dir {
-            let _ = std::fs::remove_file(dir.join(format!("ckpt-{id}")));
+        self.journal.done(id, fp, state.name(), produced);
+        if let Some(path) = self.checkpoint(id) {
+            let _ = std::fs::remove_file(path);
         }
     }
 }
@@ -1055,6 +1116,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A `done` line carries what the job produced; one written before
+    /// those fields existed still replays, reading them as 0. Either
+    /// way the finished job keeps the spec it was admitted with.
+    #[test]
+    fn replay_restores_what_finished_jobs_produced() {
+        let mut spec = JobSpec::two_rail(20.0);
+        spec.priority = Priority::High;
+        let fp = format!("{:016x}", spec_fingerprint(&spec));
+        let admit = |id: u64| {
+            let mut o = Obj::new();
+            o.str("kind", "admit")
+                .u64("id", id)
+                .str("fp", &fp)
+                .raw("spec", &spec.to_json());
+            o.finish()
+        };
+        let journal = [
+            admit(1),
+            format!(
+                r#"{{"kind":"done","id":1,"fp":"{fp}","state":"completed","rails_complete":2,"area_mm2":38.125,"solves":120}}"#
+            ),
+            admit(2),
+            format!(r#"{{"kind":"done","id":2,"fp":"{fp}","state":"failed"}}"#),
+        ]
+        .join("\n");
+        let r = replay_journal(&journal);
+        assert!(r.pending.is_empty());
+        let produced = |id| r.finished[&id].1;
+        assert_eq!(
+            produced(1),
+            Produced {
+                rails_complete: 2,
+                area_mm2: 38.125,
+                solves: 120
+            }
+        );
+        assert_eq!(produced(2), Produced::default(), "old line reads as 0");
+        assert_eq!(r.finished[&2].0, spec);
     }
 
     /// A writer that died mid-line leaves a torn tail; the next

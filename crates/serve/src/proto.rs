@@ -9,9 +9,14 @@
 //!
 //! Worker → coordinator: [`WorkerFrame::Hello`] once at startup,
 //! [`WorkerFrame::Heartbeat`] on a timer (the liveness signal leases
-//! hang off), [`WorkerFrame::Progress`] after every supervisor wave
-//! (sent only once that wave's checkpoint is on disk), and
-//! [`WorkerFrame::Done`] when a leased job finishes.
+//! hang off), one [`WorkerFrame::Event`] per job event the attempt's
+//! recorder delivers (wave progress — sent only once that wave's
+//! checkpoint is on disk — stage spans, residuals, retries, panics),
+//! and [`WorkerFrame::Done`] when a leased job finishes, carrying the
+//! attempt's rendered profile. An event frame's body is the event's
+//! fields exactly as the in-process recorder renders them; the
+//! coordinator checks the lease and republishes the body verbatim, so
+//! the two backends stream the same events.
 //!
 //! Coordinator → worker: [`CoordFrame::Lease`] assigning one job (spec
 //! embedded, checkpoint path shared through the coordinator's data
@@ -98,6 +103,9 @@ pub struct DoneFrame {
     pub error: Option<String>,
     /// `true` when the failure class is worth re-dispatching.
     pub retryable: bool,
+    /// The attempt's performance profile (rendered JSON: `job`,
+    /// `attempt_ms`, `slices`, `diagnosis`), when the attempt routed.
+    pub profile: Option<String>,
 }
 
 impl DoneFrame {
@@ -116,6 +124,7 @@ impl DoneFrame {
             run_ms: 0.0,
             error: Some(error),
             retryable: false,
+            profile: None,
         }
     }
 
@@ -137,6 +146,7 @@ impl DoneFrame {
             run_ms,
             error: None,
             retryable: false,
+            profile: None,
         };
         if report.is_complete() {
             return done;
@@ -175,31 +185,19 @@ pub enum WorkerFrame {
         /// Monotone per-worker sequence number.
         seq: u64,
     },
-    /// One supervisor wave finished and its checkpoint is on disk —
-    /// or, when `stage` names a pipeline stage rather than `"wave"`, a
-    /// stage span closed. Either way the coordinator republishes the
-    /// frame onto its event bus so `GET /jobs/:id/events` streams the
-    /// same shapes in fleet mode as in-process.
-    Progress {
+    /// One job event of a leased attempt, for the coordinator to
+    /// republish on its event bus.
+    Event {
         /// Job id.
         job: u64,
         /// Lease id.
         lease: u64,
-        /// Wave just completed (0-based).
-        wave: usize,
-        /// Total waves.
-        waves: usize,
-        /// Rails complete so far.
-        rails_complete: usize,
-        /// What made progress: `"wave"` for wave completion, else a
-        /// pipeline stage name (`grow`, `refine`, `reheat`, …).
-        stage: String,
-        /// Wall-clock since the attempt started (wave frames) or the
-        /// stage span's own duration (stage frames), in ms.
-        elapsed_ms: f64,
-        /// Cumulative solve-stage wall time so far (ms); 0 for stage
-        /// frames.
-        solve_ms: f64,
+        /// Event kind wire name (`progress`, `stage`, `residual`, …).
+        event: String,
+        /// The event's fields as a rendered JSON object. It travels as
+        /// a JSON string, so the coordinator republishes it byte for
+        /// byte.
+        body: String,
     },
     /// A leased job finished.
     Done(DoneFrame),
@@ -216,25 +214,17 @@ impl WorkerFrame {
             WorkerFrame::Heartbeat { seq } => {
                 o.str("type", "heartbeat").u64("seq", *seq);
             }
-            WorkerFrame::Progress {
+            WorkerFrame::Event {
                 job,
                 lease,
-                wave,
-                waves,
-                rails_complete,
-                stage,
-                elapsed_ms,
-                solve_ms,
+                event,
+                body,
             } => {
-                o.str("type", "progress")
+                o.str("type", "event")
                     .u64("job", *job)
                     .u64("lease", *lease)
-                    .u64("wave", *wave as u64)
-                    .u64("waves", *waves as u64)
-                    .u64("rails_complete", *rails_complete as u64)
-                    .str("stage", stage)
-                    .f64("elapsed_ms", *elapsed_ms)
-                    .f64("solve_ms", *solve_ms);
+                    .str("event", event)
+                    .str("body", body);
             }
             WorkerFrame::Done(d) => {
                 o.str("type", "done")
@@ -250,6 +240,9 @@ impl WorkerFrame {
                     .bool("retryable", d.retryable);
                 if let Some(e) = &d.error {
                     o.str("error", e);
+                }
+                if let Some(p) = &d.profile {
+                    o.str("profile", p);
                 }
             }
         }
@@ -271,30 +264,22 @@ impl WorkerFrame {
             "heartbeat" => Ok(WorkerFrame::Heartbeat {
                 seq: need_u64(&root, "seq")?,
             }),
-            "progress" => Ok(WorkerFrame::Progress {
+            "event" => Ok(WorkerFrame::Event {
                 job: need_u64(&root, "job")?,
                 lease: need_u64(&root, "lease")?,
-                wave: need_u64(&root, "wave")? as usize,
-                waves: need_u64(&root, "waves")? as usize,
-                rails_complete: need_u64(&root, "rails_complete")? as usize,
-                // Lenient, like DoneFrame's optional fields: a frame
-                // from an older worker still parses as wave progress.
-                stage: root
-                    .get("stage")
-                    .and_then(Json::as_str)
-                    .unwrap_or("wave")
+                event: need_str(&root, "event")?.to_owned(),
+                // The body is spliced verbatim into event lines, so
+                // anything but a JSON object is a faulty frame.
+                body: need_str(&root, "body")
+                    .ok()
+                    .filter(|b| is_object(b))
+                    .ok_or(ProtoError::Field("body"))?
                     .to_owned(),
-                elapsed_ms: root.get("elapsed_ms").and_then(Json::as_f64).unwrap_or(0.0),
-                solve_ms: root.get("solve_ms").and_then(Json::as_f64).unwrap_or(0.0),
             }),
             "done" => Ok(WorkerFrame::Done(DoneFrame {
                 job: need_u64(&root, "job")?,
                 lease: need_u64(&root, "lease")?,
-                state: root
-                    .get("state")
-                    .and_then(Json::as_str)
-                    .ok_or(ProtoError::Field("state"))?
-                    .to_owned(),
+                state: need_str(&root, "state")?.to_owned(),
                 resumed: need_u64(&root, "resumed")? as usize,
                 rails_complete: need_u64(&root, "rails_complete")? as usize,
                 rails_total: need_u64(&root, "rails_total")? as usize,
@@ -303,6 +288,13 @@ impl WorkerFrame {
                 run_ms: root.get("run_ms").and_then(Json::as_f64).unwrap_or(0.0),
                 error: root.get("error").and_then(Json::as_str).map(str::to_owned),
                 retryable: matches!(root.get("retryable"), Some(Json::Bool(true))),
+                // Served verbatim as JSON: a malformed profile is
+                // dropped, never the result it rides with.
+                profile: root
+                    .get("profile")
+                    .and_then(Json::as_str)
+                    .filter(|p| is_object(p))
+                    .map(str::to_owned),
             })),
             other => Err(ProtoError::UnknownType(other.to_owned())),
         }
@@ -422,6 +414,17 @@ fn need_u64(root: &Json, field: &'static str) -> Result<u64, ProtoError> {
         .ok_or(ProtoError::Field(field))
 }
 
+/// `true` when `text` is a JSON object.
+fn is_object(text: &str) -> bool {
+    matches!(json::parse(text), Ok(Json::Obj(_)))
+}
+
+fn need_str<'a>(root: &'a Json, field: &'static str) -> Result<&'a str, ProtoError> {
+    root.get(field)
+        .and_then(Json::as_str)
+        .ok_or(ProtoError::Field(field))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,25 +434,17 @@ mod tests {
         let frames = [
             WorkerFrame::Hello { pid: 4242 },
             WorkerFrame::Heartbeat { seq: 17 },
-            WorkerFrame::Progress {
+            WorkerFrame::Event {
                 job: 3,
                 lease: 9,
-                wave: 1,
-                waves: 2,
-                rails_complete: 1,
-                stage: "wave".into(),
-                elapsed_ms: 12.5,
-                solve_ms: 7.25,
+                event: "progress".into(),
+                body: r#"{"wave":1,"waves":2,"rails_complete":1,"elapsed_ms":12.5}"#.into(),
             },
-            WorkerFrame::Progress {
+            WorkerFrame::Event {
                 job: 3,
                 lease: 9,
-                wave: 0,
-                waves: 2,
-                rails_complete: 0,
-                stage: "grow".into(),
-                elapsed_ms: 3.5,
-                solve_ms: 0.0,
+                event: "stage".into(),
+                body: r#"{"stage":"grow","elapsed_ms":3.5,"note":"a \"quoted\" word"}"#.into(),
             },
             WorkerFrame::Done(DoneFrame {
                 job: 3,
@@ -463,6 +458,7 @@ mod tests {
                 run_ms: 41.25,
                 error: None,
                 retryable: false,
+                profile: Some(r#"{"job":3,"attempt_ms":41.25,"slices":7,"diagnosis":{}}"#.into()),
             }),
             WorkerFrame::Done(DoneFrame {
                 job: 4,
@@ -476,6 +472,7 @@ mod tests {
                 run_ms: 1.0,
                 error: Some("solver diverged".into()),
                 retryable: true,
+                profile: None,
             }),
         ];
         for f in frames {
@@ -510,27 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_progress_frames_parse_leniently() {
-        // A frame from a worker predating the enrichment fields must
-        // still parse as wave progress with zeroed timings.
-        let legacy =
-            r#"{"type":"progress","job":3,"lease":9,"wave":1,"waves":2,"rails_complete":1}"#;
-        match WorkerFrame::parse(legacy).expect("legacy frame parses") {
-            WorkerFrame::Progress {
-                stage,
-                elapsed_ms,
-                solve_ms,
-                ..
-            } => {
-                assert_eq!(stage, "wave");
-                assert_eq!(elapsed_ms, 0.0);
-                assert_eq!(solve_ms, 0.0);
-            }
-            other => panic!("expected progress, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn hostile_frames_are_typed_rejections() {
         assert!(matches!(
             WorkerFrame::parse("not json"),
@@ -548,6 +524,19 @@ mod tests {
             WorkerFrame::parse(r#"{"type":"heartbeat"}"#),
             Err(ProtoError::Field("seq"))
         ));
+        assert!(matches!(
+            WorkerFrame::parse(
+                r#"{"type":"event","job":1,"lease":1,"event":"stage","body":"[1]"}"#
+            ),
+            Err(ProtoError::Field("body"))
+        ));
+        let bad_profile = r#"{"type":"done","job":1,"lease":1,"state":"completed","resumed":0,"rails_complete":1,"rails_total":1,"profile":"[1]"}"#;
+        match WorkerFrame::parse(bad_profile) {
+            Ok(WorkerFrame::Done(d)) => {
+                assert_eq!((d.state.as_str(), d.profile), ("completed", None))
+            }
+            other => panic!("a bad profile must not cost the result: {other:?}"),
+        }
         assert!(matches!(
             CoordFrame::parse(r#"{"type":"lease","job":1,"lease":1,"attempt":0}"#),
             Err(ProtoError::Field("spec"))

@@ -26,35 +26,34 @@
 //!   result beats a timed-out queue.
 //!
 //! Admission, the job table, retries, terminal classification and the
-//! journal are the shared [`crate::lifecycle`] core; this module is the
+//! journal are the shared [`crate::lifecycle`] core, and each attempt
+//! is the shared [`crate::attempt`] runner; this module is the
 //! in-process executor: worker threads, the `catch_unwind` boundary,
-//! cancel tokens, per-attempt profiles and reports, and the mid-job
-//! kill simulation.
+//! cancel tokens, fault injection, overload degradation, retained
+//! reports, and the mid-job kill simulation.
 //!
 //! The invariant everything above serves, asserted by the chaos suite:
 //! **every accepted job reaches exactly one terminal state, and the
 //! service never panics** — whatever the fault plan injects.
 
+use crate::attempt::Attempt;
 use crate::backoff::BackoffConfig;
 use crate::chaos::ServeFaultPlan;
-use crate::events::{EventBus, EventKind, JobRecorder};
+use crate::events::{EventBus, EventSink};
 use crate::job::{JobSnapshot, JobSpec, JobState, SpecError};
 use crate::lifecycle::{CoreConfig, JobCore, Retry};
-use crate::proto::DoneFrame;
 use crate::queue::{Popped, QueueEntry};
 use sprout_core::recovery::RecoveryPolicy;
 use sprout_core::report::RunReport;
 use sprout_core::router::RouterConfig;
-use sprout_core::supervisor::{Supervisor, SupervisorConfig};
 use sprout_telemetry::{self as telemetry, json::Obj};
-use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Service configuration.
 #[derive(Debug, Clone)]
@@ -417,9 +416,6 @@ struct Shared {
     core: JobCore,
     running: AtomicUsize,
     reports: Mutex<Vec<RunReport>>,
-    // Latest attempt's performance profile per job, served over
-    // `GET /jobs/<id>/profile`. Rendered JSON, bounded by job count.
-    profiles: Mutex<HashMap<u64, String>>,
 }
 
 /// The running service. Cheap to clone handles are not provided —
@@ -458,7 +454,6 @@ impl RoutingService {
             core,
             running: AtomicUsize::new(0),
             reports: Mutex::new(Vec::new()),
-            profiles: Mutex::new(HashMap::new()),
             config,
         });
 
@@ -529,12 +524,7 @@ impl RoutingService {
     /// [`sprout_telemetry::prof::ScalingDiagnosis`]), once a routing
     /// attempt has run. Feeds `GET /jobs/<id>/profile`.
     pub fn profile(&self, id: u64) -> Option<String> {
-        let profiles = self
-            .shared
-            .profiles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        profiles.get(&id).cloned()
+        self.shared.core.profile(id)
     }
 
     /// Current counters and latency percentiles.
@@ -658,22 +648,7 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
         return;
     }
 
-    // Board + requests were validated at submit; failures here are
-    // internal and terminal.
-    let spec = &job.spec;
-    let (board, requests) = match spec.resolve() {
-        Ok(resolved) => resolved,
-        Err(e) => {
-            let done = DoneFrame::unroutable(id, 0, spec.rails.len(), e.to_string());
-            s.core.settle(id, None, &done);
-            return;
-        }
-    };
-
     let mut router = s.config.router;
-    if let Some(pitch) = spec.tile_pitch_mm {
-        router.tile_pitch_mm = pitch;
-    }
     // Graceful degradation: under queue pressure, prefer shipping a
     // partial result within a tight budget over queue collapse.
     if s.core.overloaded() {
@@ -685,79 +660,32 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
     }
 
     let killed = fault.is_some_and(|p| p.kills(id, entry.attempt));
-    // Wave completions go straight onto the event bus; the hook runs on
-    // the supervisor thread after the wave's checkpoint save, so it is
-    // off the rail-routing hot path.
-    let wave_bus = Arc::clone(&s.core.bus);
-    let on_wave: sprout_core::supervisor::WaveHook = Arc::new(move |p| {
-        wave_bus.publish(id, EventKind::Progress, |o| {
-            o.u64("wave", p.wave as u64)
-                .u64("waves", p.waves as u64)
-                .u64("rails_complete", p.rails_complete as u64)
-                .u64("rails_total", p.rails_total as u64)
-                .f64("elapsed_ms", p.elapsed_ms)
-                .f64("solve_ms", p.solve_ms);
-        });
-    });
-    let sup_config = SupervisorConfig {
+    let attempt = Attempt {
+        job: id,
+        lease: 0,
+        spec: &job.spec,
+        router,
         threads: s.config.supervisor_threads,
+        retries: s.config.supervisor_retries,
         deadline_ms: remaining_ms,
-        max_retries: s.config.supervisor_retries,
-        checkpoint: s
-            .config
-            .data_dir
-            .as_ref()
-            .map(|d| d.join(format!("ckpt-{id}"))),
+        checkpoint: s.core.checkpoint(id),
         cancel: job.cancel.clone(),
-        kill_after_wave: if killed { Some(0) } else { None },
-        on_wave: Some(on_wave),
-        ..SupervisorConfig::default()
+        kill_after_wave: killed.then_some(0),
+        sink: EventSink::Bus(Arc::clone(&s.core.bus)),
     };
-
-    let run_start = Instant::now();
-    // Stage spans, residual points, retries and panics recorded during
-    // this attempt flow onto the event bus with this job's id attached;
-    // the recorder chains to whatever sink the host installed.
-    let job_recorder = Arc::new(JobRecorder::new(
-        Arc::clone(&s.core.bus),
-        id,
-        telemetry::current(),
-    ));
-    // A per-job profiler captures this attempt's thread timeline; its
-    // recorder forwards every event to the job recorder so the event
-    // bus sees exactly what it did before.
-    let job_profiler = telemetry::prof::Profiler::with_capacity(8192);
-    let contention_base = telemetry::prof::snapshot();
-    let report = {
-        let _telemetry = telemetry::RecorderScope::install(
-            job_profiler.recorder(Some(job_recorder as Arc<dyn telemetry::Recorder>)),
-        );
-        Supervisor::new(&board, router, sup_config).run(&requests)
+    // Board + requests were validated at submit; a spec that no longer
+    // resolves is internal and terminal.
+    let ran = match attempt.run() {
+        Ok(ran) => ran,
+        Err(done) => {
+            s.core.settle(id, None, &done);
+            return;
+        }
     };
-    let run_ms = run_start.elapsed().as_secs_f64() * 1e3;
-    telemetry::histogram!("serve.attempt_ms", run_ms as u64);
-
-    let timeline = job_profiler.drain();
-    if !timeline.is_empty() {
-        // Lock stats are process-wide, so under concurrent jobs the
-        // delta over-attributes shared-lock waits to each job — fine
-        // for a forensic summary, stated here so nobody sums them.
-        let contention = telemetry::prof::snapshot().delta_since(&contention_base);
-        let diagnosis =
-            telemetry::prof::diagnose(&timeline, &contention, s.config.supervisor_threads);
-        let mut o = Obj::new();
-        o.u64("job", id)
-            .f64("attempt_ms", (run_ms * 1e3).round() / 1e3)
-            .u64("slices", timeline.slice_count() as u64)
-            .raw("diagnosis", &diagnosis.to_json());
-        let mut profiles = s.profiles.lock().unwrap_or_else(|e| e.into_inner());
-        // Latest attempt wins: retries overwrite the failed attempt.
-        profiles.insert(id, o.finish());
-    }
 
     if s.config.keep_reports {
         let label = format!("serve-job-{id}");
-        let rr = RunReport::from_job(&label, &report);
+        let rr = RunReport::from_job(&label, &ran.report);
         let mut reports = s.reports.lock().unwrap_or_else(|e| e.into_inner());
         reports.push(rr);
     }
@@ -770,34 +698,21 @@ fn run_one(s: &Arc<Shared>, entry: QueueEntry) {
         // the checkpoint.
         s.core.counters.killed.fetch_add(1, Ordering::Relaxed);
         telemetry::counter!("serve.killed");
-        s.core.with_record(id, |rec| rec.killed = true);
+        s.core.with_record(id, |rec| {
+            rec.killed = true;
+            rec.profile = ran.done.profile;
+        });
         return;
     }
 
-    s.core
-        .settle(id, None, &DoneFrame::from_report(id, 0, &report, run_ms));
+    s.core.settle(id, None, &ran.done);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::{JobSpec, Priority};
-    use sprout_core::recovery::{RecoveryConfig, StageBudget};
-
-    fn fast_router() -> RouterConfig {
-        RouterConfig {
-            tile_pitch_mm: 0.5,
-            grow_iterations: 8,
-            refine_iterations: 2,
-            reheat: None,
-            recovery: RecoveryConfig {
-                policy: RecoveryPolicy::BestSoFar,
-                budget: StageBudget::default(),
-                fault: None,
-            },
-            ..RouterConfig::default()
-        }
-    }
+    use crate::worker::fast_router;
 
     fn fast_config() -> ServiceConfig {
         ServiceConfig {

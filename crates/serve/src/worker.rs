@@ -3,38 +3,40 @@
 //! [`run_worker`] is the whole worker: it announces itself with a
 //! `hello` frame, starts a heartbeat thread, and then serves
 //! [`CoordFrame::Lease`] frames from its input until EOF or a
-//! [`CoordFrame::Drain`]. Each leased job runs under the supervisor
-//! with the lease's checkpoint path, so a job re-dispatched from a
-//! dead worker resumes from whatever waves the dead worker finished —
-//! the checkpoint file in the coordinator's data directory is the
-//! cross-process handoff.
+//! [`CoordFrame::Drain`]. Each leased job runs through the same
+//! [`crate::attempt`] runner as an in-process attempt, with the lease's
+//! checkpoint path, so a job re-dispatched from a dead worker resumes
+//! from whatever waves the dead worker finished — the checkpoint file
+//! in the coordinator's data directory is the cross-process handoff.
 //!
-//! The worker *classifies* its outcome in a [`DoneFrame`] built by
-//! [`DoneFrame::from_report`], exactly as the in-process service does;
-//! the coordinator's job core owns the retry decision. Heartbeats run
-//! on their own thread, so they keep flowing while a long job routes —
-//! only an injected blackout, a SIGSTOP, or real death silences them.
+//! The runner's job-event recorder ships every event as a
+//! [`WorkerFrame::Event`] frame, and the attempt's summary — a
+//! [`DoneFrame`] carrying the rendered profile — goes back as the
+//! `done` frame; the coordinator's job core owns the retry decision.
+//! Heartbeats run on their own thread, so they keep flowing while a
+//! long job routes — only an injected blackout, a SIGSTOP, or real
+//! death silences them.
 //!
 //! Process-level faults ([`FleetFaultPlan`]) are drawn *inside* the
 //! worker from `(seed, job, attempt)` carried by the lease, so a chaos
 //! schedule replays identically whichever worker a job lands on. The
-//! injected kill is `exit(9)` immediately after wave 0's checkpoint is
-//! on disk — by construction the coordinator can always resume what it
-//! re-dispatches.
+//! injected kill stops the supervisor after wave 0's checkpoint is on
+//! disk and then `exit(9)`s — by construction the coordinator can
+//! always resume what it re-dispatches.
 
+use crate::attempt::Attempt;
 use crate::chaos::FleetFaultPlan;
-use crate::events::STAGE_SPANS;
+use crate::cli::{parse, take};
+use crate::events::{EventKind, EventSink};
 use crate::job::JobSpec;
 use crate::proto::{CoordFrame, DoneFrame, WorkerFrame};
-use sprout_core::recovery::{RecoveryConfig, RecoveryPolicy, StageBudget};
+use sprout_core::recovery::{CancelToken, RecoveryConfig, RecoveryPolicy, StageBudget};
 use sprout_core::router::RouterConfig;
-use sprout_core::supervisor::{Supervisor, SupervisorConfig, WaveProgress};
-use sprout_telemetry::{self as telemetry, Event, Recorder};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Worker configuration, normally parsed from the command line by
 /// [`worker_main`].
@@ -94,85 +96,6 @@ impl<W: Write> Outbound<W> {
         // will see EOF and exit — nothing useful to do with the error.
         let _ = writeln!(out, "{}", frame.to_json());
         let _ = out.flush();
-    }
-}
-
-/// Telemetry adapter installed around each leased run: pipeline stage
-/// span ends (`grow`, `refine`, … — [`STAGE_SPANS`]) go out as
-/// enriched [`WorkerFrame::Progress`] frames so the coordinator can
-/// republish them on its event bus, giving `--fleet N` the same
-/// per-stage stream in-process jobs get from their `JobRecorder`.
-/// Wave attribution comes from watching `wave`/`job` span starts.
-struct StageRecorder<W: Write> {
-    out: Arc<Outbound<W>>,
-    job: u64,
-    lease: u64,
-    wave: AtomicU64,
-    waves: AtomicU64,
-    inner: Option<Arc<dyn Recorder>>,
-}
-
-fn field_u64(fields: &[(&'static str, telemetry::Value)], key: &str) -> Option<u64> {
-    fields.iter().find_map(|(k, v)| {
-        if *k != key {
-            return None;
-        }
-        match v {
-            telemetry::Value::U64(n) => Some(*n),
-            telemetry::Value::I64(n) => u64::try_from(*n).ok(),
-            _ => None,
-        }
-    })
-}
-
-impl<W: Write + Send> Recorder for StageRecorder<W> {
-    fn record(&self, event: &Event) {
-        match event {
-            Event::SpanStart {
-                name: "job",
-                fields,
-                ..
-            } => {
-                if let Some(w) = field_u64(fields, "waves") {
-                    self.waves.store(w, Ordering::Relaxed);
-                }
-            }
-            Event::SpanStart {
-                name: "wave",
-                fields,
-                ..
-            } => {
-                if let Some(w) = field_u64(fields, "wave") {
-                    self.wave.store(w, Ordering::Relaxed);
-                }
-            }
-            Event::SpanEnd {
-                name, elapsed_ns, ..
-            } if STAGE_SPANS.contains(name) => {
-                self.out.send(&WorkerFrame::Progress {
-                    job: self.job,
-                    lease: self.lease,
-                    wave: self.wave.load(Ordering::Relaxed) as usize,
-                    waves: self.waves.load(Ordering::Relaxed) as usize,
-                    // Stage frames carry no rail count; the coordinator
-                    // folds `rails_complete` in with `max`, so 0 is inert.
-                    rails_complete: 0,
-                    stage: (*name).to_owned(),
-                    elapsed_ms: *elapsed_ns as f64 / 1e6,
-                    solve_ms: 0.0,
-                });
-            }
-            _ => {}
-        }
-        if let Some(inner) = &self.inner {
-            inner.record(event);
-        }
-    }
-
-    fn flush(&self) {
-        if let Some(inner) = &self.inner {
-            inner.flush();
-        }
     }
 }
 
@@ -296,65 +219,42 @@ where
         kill = plan.kills(job, attempt);
     }
 
-    let (board, requests) = match spec.resolve() {
-        Ok(resolved) => resolved,
-        Err(e) => return DoneFrame::unroutable(job, lease, spec.rails.len(), e.to_string()),
-    };
-
-    let mut router = config.router;
-    if let Some(pitch) = spec.tile_pitch_mm {
-        router.tile_pitch_mm = pitch;
-    }
-
-    let on_wave: sprout_core::supervisor::WaveHook = {
+    // Every job event goes out as an event frame for the coordinator's
+    // bus, rendered exactly as the in-process recorder renders it.
+    let sink = {
         let out = Arc::clone(out);
-        Arc::new(move |p: WaveProgress| {
-            out.send(&WorkerFrame::Progress {
+        EventSink::Rendered(Arc::new(move |kind: EventKind, body: String| {
+            out.send(&WorkerFrame::Event {
                 job,
                 lease,
-                wave: p.wave,
-                waves: p.waves,
-                rails_complete: p.rails_complete,
-                stage: "wave".into(),
-                elapsed_ms: p.elapsed_ms,
-                solve_ms: p.solve_ms,
+                event: kind.name().to_owned(),
+                body,
             });
-            if kill && p.wave == 0 {
-                // The deterministic `kill -9`: wave 0's checkpoint is
-                // on disk (the hook fires after the save), the progress
-                // frame above is flushed, and the process dies without
-                // unwinding — exactly what a real SIGKILL leaves behind.
-                std::process::exit(9);
-            }
-        })
+        }))
     };
-
-    let sup_config = SupervisorConfig {
-        threads: config.supervisor_threads,
-        deadline_ms,
-        max_retries: config.supervisor_retries,
-        checkpoint,
-        on_wave: Some(on_wave),
-        ..SupervisorConfig::default()
-    };
-
-    let start = Instant::now();
-    // Stage spans flow out as enriched progress frames for the
-    // coordinator's event bus; the scope chains to whatever recorder
-    // was already current so nothing is hidden from existing sinks.
-    let stage_recorder = Arc::new(StageRecorder {
-        out: Arc::clone(out),
+    let ran = Attempt {
         job,
         lease,
-        wave: AtomicU64::new(0),
-        waves: AtomicU64::new(0),
-        inner: telemetry::current(),
-    });
-    let report = {
-        let _telemetry = telemetry::RecorderScope::install(stage_recorder);
-        Supervisor::new(&board, router, sup_config).run(&requests)
-    };
-    DoneFrame::from_report(job, lease, &report, start.elapsed().as_secs_f64() * 1e3)
+        spec,
+        router: config.router,
+        threads: config.supervisor_threads,
+        retries: config.supervisor_retries,
+        deadline_ms,
+        checkpoint,
+        cancel: CancelToken::new(),
+        kill_after_wave: kill.then_some(0),
+        sink,
+    }
+    .run();
+    match ran {
+        // The deterministic `kill -9`: the supervisor stopped after
+        // wave 0's checkpoint, every event frame is flushed, and the
+        // process dies without reporting — exactly what a real SIGKILL
+        // leaves behind.
+        Ok(_) if kill => std::process::exit(9),
+        Ok(ran) => ran.done,
+        Err(unroutable) => *unroutable,
+    }
 }
 
 /// The `sprout_fleet_worker` entry point: parses the worker command
@@ -369,12 +269,14 @@ pub fn worker_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
+        if fault.parse_flag(&args, &mut i) {
+            have_fault = true;
+            i += 1;
+            continue;
+        }
         match args[i].as_str() {
-            "--heartbeat-ms" => {
-                config.heartbeat_ms =
-                    parse(&take(&args, &mut i, "--heartbeat-ms"), "--heartbeat-ms")
-            }
-            "--router" => match take(&args, &mut i, "--router").as_str() {
+            "--heartbeat-ms" => config.heartbeat_ms = parse(&args, &mut i),
+            "--router" => match take(&args, &mut i).as_str() {
                 "fast" => config.router = fast_router(),
                 "default" => config.router = RouterConfig::default(),
                 other => {
@@ -382,43 +284,8 @@ pub fn worker_main() {
                     std::process::exit(2);
                 }
             },
-            "--supervisor-threads" => {
-                config.supervisor_threads = parse(
-                    &take(&args, &mut i, "--supervisor-threads"),
-                    "--supervisor-threads",
-                )
-            }
-            "--supervisor-retries" => {
-                config.supervisor_retries = parse(
-                    &take(&args, &mut i, "--supervisor-retries"),
-                    "--supervisor-retries",
-                )
-            }
-            "--chaos-seed" => {
-                fault.seed = parse(&take(&args, &mut i, "--chaos-seed"), "--chaos-seed");
-                have_fault = true;
-            }
-            "--kill-rate" => {
-                fault.kill_rate = parse(&take(&args, &mut i, "--kill-rate"), "--kill-rate");
-                have_fault = true;
-            }
-            "--stall-rate" => {
-                fault.stall_rate = parse(&take(&args, &mut i, "--stall-rate"), "--stall-rate");
-                have_fault = true;
-            }
-            "--stall-ms" => {
-                fault.stall_ms = parse(&take(&args, &mut i, "--stall-ms"), "--stall-ms");
-                have_fault = true;
-            }
-            "--blackout-rate" => {
-                fault.blackout_rate =
-                    parse(&take(&args, &mut i, "--blackout-rate"), "--blackout-rate");
-                have_fault = true;
-            }
-            "--blackout-ms" => {
-                fault.blackout_ms = parse(&take(&args, &mut i, "--blackout-ms"), "--blackout-ms");
-                have_fault = true;
-            }
+            "--supervisor-threads" => config.supervisor_threads = parse(&args, &mut i),
+            "--supervisor-retries" => config.supervisor_retries = parse(&args, &mut i),
             "--help" | "-h" => {
                 println!(
                     "sprout_fleet_worker [--heartbeat-ms N] [--router fast|default] \
@@ -443,24 +310,10 @@ pub fn worker_main() {
     run_worker(config, stdin.lock(), std::io::stdout());
 }
 
-fn take(args: &[String], i: &mut usize, what: &str) -> String {
-    *i += 1;
-    args.get(*i).cloned().unwrap_or_else(|| {
-        eprintln!("missing value for {what}");
-        std::process::exit(2);
-    })
-}
-
-fn parse<T: std::str::FromStr>(v: &str, what: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("bad value `{v}` for {what}");
-        std::process::exit(2);
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sprout_telemetry::json::{parse, Json};
     use std::io::Cursor;
 
     /// A Vec<u8> sink shared with the test thread.
@@ -517,23 +370,43 @@ mod tests {
         assert_eq!(done.lease, 100);
         assert_eq!(done.state, "completed");
         assert_eq!(done.rails_complete, 2);
-        // Two rails on one layer = two waves = two wave-progress
-        // frames; stage spans ride along as their own frames.
-        let wave_frames: Vec<_> = fs
+        // Two rails on one layer = two waves = two progress events;
+        // stage spans ride along as their own event frames.
+        let events: Vec<(&str, Json)> = fs
             .iter()
-            .filter(|f| matches!(f, WorkerFrame::Progress { stage, .. } if stage == "wave"))
+            .filter_map(|f| match f {
+                WorkerFrame::Event {
+                    job,
+                    lease,
+                    event,
+                    body,
+                } => {
+                    assert_eq!((*job, *lease), (1, 100), "event under the lease");
+                    Some((event.as_str(), parse(body).expect("body is JSON")))
+                }
+                _ => None,
+            })
             .collect();
-        assert_eq!(wave_frames.len(), 2);
+        let progress: Vec<&Json> = events
+            .iter()
+            .filter(|(e, _)| *e == "progress")
+            .map(|(_, b)| b)
+            .collect();
+        assert_eq!(progress.len(), 2);
         assert!(
-            fs.iter()
-                .any(|f| matches!(f, WorkerFrame::Progress { stage, .. } if stage == "grow")),
-            "stage spans must be forwarded as progress frames"
+            events.iter().any(
+                |(e, b)| *e == "stage" && b.get("stage").and_then(Json::as_str) == Some("grow")
+            ),
+            "stage spans must be forwarded as event frames"
         );
-        let timed = fs.iter().any(|f| {
-            matches!(f, WorkerFrame::Progress { stage, elapsed_ms, .. }
-                if stage == "wave" && *elapsed_ms > 0.0)
-        });
-        assert!(timed, "wave frames must carry elapsed_ms");
+        let timed = progress
+            .iter()
+            .any(|b| b.get("elapsed_ms").and_then(Json::as_f64).unwrap_or(0.0) > 0.0);
+        assert!(timed, "progress events must carry elapsed_ms");
+        // The done frame carries the attempt's profile.
+        let profile = parse(done.profile.as_deref().expect("profile")).expect("profile JSON");
+        assert_eq!(profile.get("job").and_then(Json::as_u64), Some(1));
+        assert!(profile.get("diagnosis").is_some());
     }
 
     #[test]

@@ -122,6 +122,32 @@ impl Obj {
         self
     }
 
+    /// Appends every member of a rendered object (`{"k":v,...}`)
+    /// verbatim — how a body rendered once elsewhere joins this one.
+    ///
+    /// ```
+    /// use sprout_telemetry::json::Obj;
+    /// let mut o = Obj::new();
+    /// o.u64("seq", 1).splice(r#"{"stage":"grow"}"#).splice("{}");
+    /// assert_eq!(o.finish(), r#"{"seq":1,"stage":"grow"}"#);
+    /// ```
+    pub fn splice(&mut self, rendered: &str) -> &mut Obj {
+        let t = rendered.trim();
+        let inner = t
+            .strip_prefix('{')
+            .and_then(|t| t.strip_suffix('}'))
+            .unwrap_or(t)
+            .trim();
+        if !inner.is_empty() {
+            if self.any {
+                self.buf.push(',');
+            }
+            self.any = true;
+            self.buf.push_str(inner);
+        }
+        self
+    }
+
     /// Adds a typed telemetry [`Value`].
     pub fn value(&mut self, key: &str, v: &Value) -> &mut Obj {
         match v {

@@ -1,59 +1,114 @@
-//! Bounded in-process event buffer.
+//! Bounded in-process buffers.
 //!
-//! [`RingSink`] keeps the most recent events up to a fixed capacity —
+//! [`Ring`] is the one bounded drop-oldest buffer of the workspace:
 //! lossless until the cap, then oldest-first eviction with an explicit
 //! drop counter so consumers can tell truncation from a quiet run.
-//! Useful as a flight recorder: attach it for a whole job, then dump
-//! the tail only when something goes wrong.
+//! [`RingSink`] is a [`Ring`] of telemetry events behind a lock — a
+//! flight recorder: attach it for a whole job, then dump the tail only
+//! when something goes wrong. `sprout-serve`'s per-job event bus keeps
+//! its channels in the same type.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::{Event, Recorder};
 
+/// A bounded FIFO that evicts its oldest item when full and counts the
+/// evictions. Not synchronized: owners put it behind their own lock.
+#[derive(Debug, Clone)]
+pub struct Ring<T> {
+    items: VecDeque<T>,
+    capacity: usize,
+    dropped: u64,
+}
+
+impl<T> Ring<T> {
+    /// An empty ring holding at most `capacity` items (min 1).
+    pub fn new(capacity: usize) -> Ring<T> {
+        Ring {
+            items: VecDeque::new(),
+            capacity: capacity.max(1),
+            dropped: 0,
+        }
+    }
+
+    /// Maximum number of retained items.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Appends `item`, evicting the oldest one first when full.
+    /// Returns `true` when an item was evicted.
+    pub fn push(&mut self, item: T) -> bool {
+        let evict = self.items.len() >= self.capacity;
+        if evict {
+            self.items.pop_front();
+            self.dropped += 1;
+        }
+        self.items.push_back(item);
+        evict
+    }
+
+    /// Items evicted so far (0 means the ring is still lossless).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+
+    /// Number of items currently retained.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// `true` when no items are retained.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The retained items, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.items.iter()
+    }
+
+    /// Removes and returns the retained items, oldest first, and zeroes
+    /// the drop counter.
+    pub fn drain(&mut self) -> Vec<T> {
+        self.dropped = 0;
+        self.items.drain(..).collect()
+    }
+}
+
 /// A bounded FIFO of recent [`Event`]s.
 #[derive(Debug)]
 pub struct RingSink {
-    inner: Mutex<Ring>,
-    capacity: usize,
-}
-
-#[derive(Debug)]
-struct Ring {
-    events: VecDeque<Event>,
-    dropped: u64,
+    inner: Mutex<Ring<Event>>,
 }
 
 impl RingSink {
     /// Creates a ring holding at most `capacity` events (min 1).
     pub fn new(capacity: usize) -> RingSink {
         RingSink {
-            inner: Mutex::new(Ring {
-                events: VecDeque::new(),
-                dropped: 0,
-            }),
-            capacity: capacity.max(1),
+            inner: Mutex::new(Ring::new(capacity)),
         }
+    }
+
+    fn ring(&self) -> std::sync::MutexGuard<'_, Ring<Event>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Maximum number of retained events.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.ring().capacity()
     }
 
     /// Number of events evicted so far (0 means the buffer is still
     /// lossless).
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).dropped
+        self.ring().dropped()
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .events
-            .len()
+        self.ring().len()
     }
 
     /// `true` when no events are retained.
@@ -63,32 +118,19 @@ impl RingSink {
 
     /// Copies out the retained events, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .events
-            .iter()
-            .cloned()
-            .collect()
+        self.ring().iter().cloned().collect()
     }
 
     /// Removes and returns the retained events, oldest first, and
     /// zeroes the drop counter.
     pub fn drain(&self) -> Vec<Event> {
-        let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        ring.dropped = 0;
-        ring.events.drain(..).collect()
+        self.ring().drain()
     }
 }
 
 impl Recorder for RingSink {
     fn record(&self, event: &Event) {
-        let mut ring = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(event.clone());
+        self.ring().push(event.clone());
     }
 }
 

@@ -296,10 +296,14 @@ fn restart_without_crash_recovers_nothing() {
         ..service_config()
     })
     .expect("start");
-    let id = svc.submit(JobSpec::two_rail(20.0)).expect("accepted");
+    let mut spec = JobSpec::two_rail(20.0);
+    spec.priority = Priority::High;
+    spec.tag = "clean-restart".into();
+    let id = svc.submit(spec).expect("accepted");
     assert!(svc.wait_idle(Duration::from_secs(300)));
     svc.shutdown(true);
-    assert_eq!(svc.status(id).expect("known").state, JobState::Completed);
+    let before = svc.status(id).expect("known");
+    assert_eq!(before.state, JobState::Completed);
     drop(svc);
 
     let svc2 = RoutingService::start(ServiceConfig {
@@ -318,6 +322,13 @@ fn restart_without_crash_recovers_nothing() {
     let snap = svc2.status(id).expect("finished job stays queryable");
     assert_eq!(snap.state, JobState::Completed, "no record re-admitted");
     assert_eq!((snap.attempts, snap.terminal_transitions), (0, 1));
+    // ...and remembered with what it was and what it produced.
+    assert_eq!(
+        (snap.rails_total, snap.rails_complete, snap.solves),
+        (before.rails_total, before.rails_complete, before.solves)
+    );
+    assert_eq!(snap.area_mm2, before.area_mm2);
+    assert_eq!((snap.priority, snap.tag), (before.priority, before.tag));
     // Ids keep increasing across restarts — no collision with journals.
     let id2 = svc2.submit(JobSpec::two_rail(18.0)).expect("accepted");
     assert!(id2 > id, "recovered id space must advance past {id}");

@@ -205,8 +205,56 @@ fn stream_covers_every_wave_and_ends_on_terminal_in_process() {
     svc.shutdown(true);
 }
 
+/// What a stream says, minus its values: per event in order, the kind,
+/// the stage or point it names, and its key set. Timings, ids and
+/// sequence numbers differ run to run; this must not.
+fn stream_shape(events: &[(String, Json)]) -> Vec<(String, String, BTreeSet<String>)> {
+    events
+        .iter()
+        .map(|(kind, j)| {
+            let what = j
+                .get("stage")
+                .or_else(|| j.get("point"))
+                .and_then(Json::as_str)
+                .unwrap_or("")
+                .to_owned();
+            let keys = j
+                .as_object()
+                .expect("event line is an object")
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect();
+            (kind.clone(), what, keys)
+        })
+        .collect()
+}
+
+/// `GET /jobs/<id>/profile`'s top-level keys.
+fn profile_keys(addr: std::net::SocketAddr, id: u64) -> Vec<String> {
+    let response = get(addr, &format!("/jobs/{id}/profile"));
+    assert_eq!(status_code(&response), 200, "no profile: {response}");
+    let root = parse(body_of(&response)).expect("profile is JSON");
+    assert_eq!(root.get("job").and_then(Json::as_u64), Some(id));
+    root.as_object()
+        .expect("profile is an object")
+        .iter()
+        .map(|(k, _)| k.clone())
+        .collect()
+}
+
 #[test]
 fn stream_is_identical_in_fleet_mode() {
+    // The same job, routed in-process and under a 2-worker fleet.
+    let spec = JobSpec::two_rail(22.0);
+
+    let svc = Arc::new(RoutingService::start(service_config()).expect("start"));
+    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind");
+    let id = svc.submit(spec.clone()).expect("submit");
+    let in_process = stream_events(server.addr(), id);
+    assert_stream_contract(&in_process, id);
+    let in_process_profile = profile_keys(server.addr(), id);
+    svc.shutdown(true);
+
     let fleet = Arc::new(
         FleetCoordinator::start(FleetConfig {
             workers: 2,
@@ -217,25 +265,28 @@ fn stream_is_identical_in_fleet_mode() {
         })
         .expect("fleet start"),
     );
-    let server = HttpServer::bind("127.0.0.1:0", Arc::clone(&fleet)).expect("bind");
-    let ids: Vec<u64> = (0..2)
-        .map(|k| {
-            fleet
-                .submit(JobSpec::two_rail(20.0 + k as f64 * 2.0))
-                .expect("submit")
-        })
-        .collect();
+    let fleet_server = HttpServer::bind("127.0.0.1:0", Arc::clone(&fleet)).expect("bind");
+    let fid = fleet.submit(spec).expect("submit");
+    let in_fleet = stream_events(fleet_server.addr(), fid);
+    assert_stream_contract(&in_fleet, fid);
 
-    for &id in &ids {
-        let events = stream_events(server.addr(), id);
-        assert_stream_contract(&events, id);
-        // Worker stage frames fan in over the protocol and reappear as
-        // stage events — the fleet stream is not just wave-granular.
-        assert!(
-            events.iter().any(|(k, _)| k == "stage"),
-            "job {id}: fleet stream carried no stage events"
-        );
-    }
+    // Stage spans, residuals and progress cross the process boundary
+    // with every field: the two streams differ in values only.
+    assert!(
+        in_process.iter().any(|(k, _)| k == "residual"),
+        "the job emits residual events"
+    );
+    assert_eq!(stream_shape(&in_fleet), stream_shape(&in_process));
+    // The worker's profile reaches `/jobs/<id>/profile` intact.
+    assert_eq!(
+        profile_keys(fleet_server.addr(), fid),
+        in_process_profile,
+        "fleet profile shape differs"
+    );
+    assert_eq!(
+        in_process_profile,
+        ["job", "attempt_ms", "slices", "diagnosis"]
+    );
     fleet.drain(Duration::from_secs(30));
 }
 
